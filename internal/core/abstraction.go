@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/hom"
+	"relive/internal/interrupt"
 	"relive/internal/ltl"
 	"relive/internal/nfa"
 	"relive/internal/obs"
@@ -77,14 +79,20 @@ type AbstractionReport struct {
 // is simple on L, and combine the answers per Corollary 8.4. η must be
 // in Σ'-normal form (atoms are abstract action names).
 func VerifyViaAbstraction(sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
-	return VerifyViaAbstractionRec(nil, sys, h, eta)
+	return VerifyViaAbstractionCtx(nil, nil, sys, h, eta)
 }
 
-// VerifyViaAbstractionRec is VerifyViaAbstraction with every pipeline
-// step reported to rec: the h(L) image, the {#}*-extension, the
-// abstract-system construction, the abstract relative-liveness check,
-// the simplicity decision, and the R̄(η) transformation.
-func VerifyViaAbstractionRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
+// VerifyViaAbstractionCtx is VerifyViaAbstraction with cooperative
+// cancellation and every pipeline step reported to rec: the h(L) image,
+// the {#}*-extension, the abstract-system construction, the abstract
+// relative-liveness check, the simplicity decision, and the R̄(η)
+// transformation. ctx is polled by the trim, the abstract check, and
+// the simplicity exploration, and between steps; the subset
+// constructions inside h(L) and lim(h(L)) run to completion. The
+// returned error wraps ctx.Err() when cancelled, and
+// ts.ErrNoInfiniteBehavior when sys has no behavior. A nil ctx never
+// cancels.
+func VerifyViaAbstractionCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
 	sp := obs.StartSpan(rec, "core.VerifyViaAbstraction").
 		Tag("paper", "Corollary 8.4")
 	defer sp.End()
@@ -96,7 +104,7 @@ func VerifyViaAbstractionRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *
 		return nil, fmt.Errorf("abstraction: %s is not in Σ'-normal form for alphabet %s",
 			eta, h.Dest())
 	}
-	trimmed, err := sys.Trim()
+	trimmed, err := sys.TrimCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("abstraction: %w", err)
 	}
@@ -125,6 +133,9 @@ func VerifyViaAbstractionRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *
 	}
 	asp.Int("image_states", int64(abstractNFA.NumStates()))
 	asp.End()
+	if err := interrupt.Done(ctx); err != nil {
+		return nil, fmt.Errorf("abstraction: %w", err)
+	}
 	ssp := obs.StartSpan(rec, "abstract system lim(h(L))")
 	abstractSys, err := systemFromPrefixClosed(abstractNFA)
 	if err != nil {
@@ -137,7 +148,7 @@ func VerifyViaAbstractionRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *
 
 	// Relative liveness of η on the abstract behaviors, under the
 	// canonical Σ'-labeling.
-	rl, err := RelativeLivenessRec(rec, abstractSys, FromFormula(eta, ltl.Canonical(abstractSys.Alphabet())))
+	rl, err := RelativeLivenessCtx(ctx, rec, abstractSys, FromFormula(eta, ltl.Canonical(abstractSys.Alphabet())))
 	if err != nil {
 		return nil, fmt.Errorf("abstraction: abstract check: %w", err)
 	}
@@ -147,7 +158,7 @@ func VerifyViaAbstractionRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *
 	// Simplicity of h on L (Definition 6.3).
 	simsp := obs.StartSpan(rec, "simplicity of h").
 		Tag("paper", "Definition 6.3")
-	simple, err := h.IsSimple(concNFA)
+	simple, err := h.IsSimpleCtx(ctx, concNFA)
 	simsp.Int("simple", boolInt(err == nil && simple.Simple))
 	simsp.End()
 	if err != nil {

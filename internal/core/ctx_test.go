@@ -9,6 +9,7 @@ import (
 
 	"relive/internal/alphabet"
 	"relive/internal/core"
+	"relive/internal/hom"
 	"relive/internal/ltl"
 	"relive/internal/ts"
 )
@@ -134,6 +135,37 @@ func TestCtxEntryPointsPreCancelled(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("pre-cancelled check ran for %v", elapsed)
+	}
+}
+
+// TestVerifyViaAbstractionCtx: the abstraction method stops at a
+// deadline (uninterrupted, its simplicity exploration on this system
+// runs for minutes), and a system with no behavior is reported with the
+// ts.ErrNoInfiniteBehavior sentinel rather than a context error.
+func TestVerifyViaAbstractionCtx(t *testing.T) {
+	sys := hugeSystem(t, 4000)
+	h, err := hom.Parse(sys.Alphabet(), "a=>x, b=>y, c=>z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eta := ltl.MustParse("G F x")
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = core.VerifyViaAbstractionCtx(ctx, nil, sys, h, eta)
+	promptly(t, "VerifyViaAbstractionCtx", start, err, context.DeadlineExceeded)
+
+	dead := ts.New(alphabet.FromNames("a"))
+	dead.AddEdge("s0", "a", "s1")
+	s0, _ := dead.LookupState("s0")
+	dead.SetInitial(s0)
+	hd, err := hom.Parse(dead.Alphabet(), "a=>x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = core.VerifyViaAbstractionCtx(context.Background(), nil, dead, hd, eta)
+	if !errors.Is(err, ts.ErrNoInfiniteBehavior) {
+		t.Fatalf("empty system: err = %v, want ts.ErrNoInfiniteBehavior", err)
 	}
 }
 

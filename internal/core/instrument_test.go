@@ -117,7 +117,7 @@ func TestAbstractionSpans(t *testing.T) {
 	sys := serverSystem(t)
 	h := mustIdentityHom(t, sys)
 	tr := obs.NewTrace()
-	rep, err := VerifyViaAbstractionRec(tr, sys, h, ltl.MustParse("G F result"))
+	rep, err := VerifyViaAbstractionCtx(nil, tr, sys, h, ltl.MustParse("G F result"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,6 +223,10 @@ func CheckStatisticalCells(ctx context.Context, rec obs.Recorder, sc *SystemCell
 func statEval(sys *ts.System, p Property) (func(word.Lasso) (bool, error), error) {
 	if f := p.Formula(); f != nil {
 		lab := p.labelingFor(sys.Alphabet())
+		// EvalLasso reads subformula keys, which the formula memoizes on
+		// first use; build them all before the sampler's workers share
+		// the tree.
+		f.Key()
 		return func(l word.Lasso) (bool, error) {
 			return ltl.EvalLasso(f, l, lab)
 		}, nil

@@ -1,6 +1,8 @@
 package hom
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -185,6 +187,33 @@ func TestIdentityHomIsSimple(t *testing.T) {
 		if !res.Simple {
 			t.Fatalf("trial %d: identity homomorphism not simple, witness %s",
 				trial, res.Witness.String(src))
+		}
+	}
+}
+
+// TestIsSimpleCtx: a live context changes no verdict, and a cancelled
+// one stops the exploration with an error wrapping context.Canceled.
+func TestIsSimpleCtx(t *testing.T) {
+	h := testHom()
+	rng := rand.New(rand.NewSource(36))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for trial := 0; trial < 15; trial++ {
+		a := genbase.NFA(rng, genbase.Config{States: 4, Symbols: 3, Density: 0.6, AcceptRatio: 0.7}, h.Source())
+		a = a.MarkAllAccepting()
+		want, err := h.IsSimple(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.IsSimpleCtx(context.Background(), a)
+		if err != nil || got.Simple != want.Simple || !got.Witness.Equal(want.Witness) {
+			t.Fatalf("trial %d: IsSimpleCtx = %+v, %v; IsSimple = %+v", trial, got, err, want)
+		}
+		if a.Determinize().Trim().Initial() < 0 {
+			continue // empty language: decided before the exploration
+		}
+		if _, err := h.IsSimpleCtx(cancelled, a); !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: cancelled IsSimpleCtx err = %v, want context.Canceled", trial, err)
 		}
 	}
 }

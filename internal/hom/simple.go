@@ -1,9 +1,11 @@
 package hom
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/alphabet"
+	"relive/internal/interrupt"
 	"relive/internal/nfa"
 	"relive/internal/word"
 )
@@ -33,6 +35,15 @@ type SimplicityResult struct {
 // states with equal residual languages (decided by partition
 // refinement on their disjoint union).
 func (h *Hom) IsSimple(a *nfa.NFA) (SimplicityResult, error) {
+	return h.IsSimpleCtx(nil, a)
+}
+
+// IsSimpleCtx is IsSimple with a cancellation checkpoint once per
+// explored configuration, where the per-configuration residual analysis
+// spends nearly all of the procedure's time; the returned error wraps
+// ctx.Err() when cancelled. The two determinizations that precede the
+// exploration are not interruptible. A nil ctx never cancels.
+func (h *Hom) IsSimpleCtx(ctx context.Context, a *nfa.NFA) (SimplicityResult, error) {
 	d := a.Determinize().Trim()
 	if d.Initial() < 0 {
 		// Empty language: vacuously simple.
@@ -93,6 +104,9 @@ func (h *Hom) IsSimple(a *nfa.NFA) (SimplicityResult, error) {
 	}
 
 	for i := 0; i < len(queue); i++ {
+		if err := interrupt.Done(ctx); err != nil {
+			return SimplicityResult{}, fmt.Errorf("hom: simplicity: %w", err)
+		}
 		cur := queue[i]
 		if d.Accepting(cur.p.q) {
 			// w ∈ L: check Definition 6.3 for this configuration.

@@ -55,6 +55,23 @@ func TestServerDeadline504(t *testing.T) {
 	// The flight recorder must hold the check with verdict "timeout"
 	// (the server's deadline, distinguished from a client cancel).
 	waitFlightVerdict(t, s, "all", "timeout")
+
+	// The abstraction method honors the deadline too: uninterrupted, its
+	// simplicity exploration on this system runs for minutes.
+	start := time.Now()
+	status, _, body = postJSON(t, hs.URL+"/v1/check/abstraction", serve.AbstractionRequest{
+		System:    bigSystemText(4000),
+		Hom:       "a=>x, b=>y, c=>z",
+		Eta:       "G F x",
+		TimeoutMS: 2,
+	})
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("abstraction status = %d, want 504: %s", status, body)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("abstraction timed out after %v, want seconds", elapsed)
+	}
+	waitFlightVerdict(t, s, "abstraction", "timeout")
 }
 
 // TestClientCancelMidFlight: dropping the connection mid-check cancels

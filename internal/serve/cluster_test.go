@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"io/fs"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -162,6 +164,24 @@ func clusterBattery() []struct {
 	return battery
 }
 
+// bigPortfolio is a ~320 KB portfolio request whose answer is over
+// 1.2 MB: a 1501-state chain over a 201-character action name, with
+// eight properties whose reports carry long witnesses.
+func bigPortfolio() serve.PortfolioRequest {
+	act := strings.Repeat("a", 201)
+	var b strings.Builder
+	b.WriteString("init s0\n")
+	for i := 0; i < 1500; i++ {
+		fmt.Fprintf(&b, "s%d %s s%d\n", i, act, i+1)
+	}
+	b.WriteString("s1500 b s1500\n")
+	ltls := []string{"G F A", "F G A", "G A", "F b -> G F A", "G F b -> F A", "X A", "X X A", "G (b -> X b)"}
+	for i, f := range ltls {
+		ltls[i] = strings.ReplaceAll(f, "A", act)
+	}
+	return serve.PortfolioRequest{System: b.String(), LTLs: ltls}
+}
+
 // TestClusterBitIdenticalToSingleNode: the same battery against a
 // plain single-node server and against the 3-backend cluster must
 // produce byte-identical bodies — the router's core contract.
@@ -183,6 +203,18 @@ func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 		if hdr.Get(serve.BackendHeader) == "" {
 			t.Fatalf("battery[%d] %s: response missing %s header", i, req.endpoint, serve.BackendHeader)
 		}
+	}
+
+	// An answer larger than the 1 MiB request cap is forwarded whole,
+	// never cut off at the cap and replayed as a 200.
+	big := bigPortfolio()
+	wantStatus, _, wantBody := postFull(t, single.URL+"/v1/check/portfolio", big)
+	if wantStatus != http.StatusOK || len(wantBody) <= serve.MaxBodyBytes {
+		t.Fatalf("big portfolio: single node %d with %d bytes, want 200 over %d bytes", wantStatus, len(wantBody), serve.MaxBodyBytes)
+	}
+	gotStatus, _, gotBody := postFull(t, c.rs.URL+"/v1/check/portfolio", big)
+	if gotStatus != wantStatus || !bytes.Equal(gotBody, wantBody) {
+		t.Fatalf("big portfolio: cluster %d with %d bytes, single node %d with %d bytes", gotStatus, len(gotBody), wantStatus, len(wantBody))
 	}
 
 	// Malformed requests are rejected at the router with the same status

@@ -247,6 +247,7 @@ func TestBadRequests(t *testing.T) {
 		{"portfolio empty prop", "/v1/check/portfolio", `{"system":"init s\ns a s\n","ltls":[""]}`},
 		{"abstraction no hom", "/v1/check/abstraction", `{"system":"init s\ns a s\n","eta":"G a"}`},
 		{"abstraction bad hom", "/v1/check/abstraction", `{"system":"init s\ns a s\n","hom":"zzz=>x","eta":"G a"}`},
+		{"abstraction no infinite behavior", "/v1/check/abstraction", `{"system":"init s0\ns0 a s1\n","hom":"a=>x","eta":"G F x"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

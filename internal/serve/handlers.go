@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,10 +10,9 @@ import (
 
 	"relive/internal/alphabet"
 	"relive/internal/core"
-	"relive/internal/hom"
-	"relive/internal/ltl"
 	"relive/internal/obs"
 	"relive/internal/store"
+	"relive/internal/ts"
 	"relive/internal/word"
 )
 
@@ -84,58 +83,25 @@ type HealthResponse struct {
 }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/check/all", s.traced("all", true, s.checkHandler("all",
-		func(ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			return core.CheckAllCellsCtx(ctx, s.recorder(ctx), pc, s.cfg.Parallelism)
-		})))
-	s.mux.HandleFunc("POST /v1/check/liveness", s.traced("liveness", true, s.checkHandler("liveness",
-		func(ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			res, err := core.RelativeLivenessCellsCtx(ctx, s.recorder(ctx), pc)
-			if err != nil {
-				return nil, err
-			}
-			return &LivenessResponse{Holds: res.Holds, BadPrefix: names(sc.System().Alphabet(), res.BadPrefix)}, nil
-		})))
-	s.mux.HandleFunc("POST /v1/check/safety", s.traced("safety", true, s.checkHandler("safety",
-		func(ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			res, err := core.RelativeSafetyCellsCtx(ctx, s.recorder(ctx), pc)
-			if err != nil {
-				return nil, err
-			}
-			ab := sc.System().Alphabet()
-			return &SafetyResponse{
-				Holds:         res.Holds,
-				Violation:     names(ab, res.Violation.Prefix),
-				ViolationLoop: names(ab, res.Violation.Loop),
-			}, nil
-		})))
-	s.mux.HandleFunc("POST /v1/check/satisfies", s.traced("satisfies", true, s.checkHandler("satisfies",
-		func(ctx context.Context, sc *core.SystemCells, pc *core.PipelineCells) (any, error) {
-			res, err := core.SatisfiesCellsCtx(ctx, s.recorder(ctx), pc)
-			if err != nil {
-				return nil, err
-			}
-			ab := sc.System().Alphabet()
-			return &SatisfiesResponse{
-				Holds:              res.Holds,
-				Counterexample:     names(ab, res.Counterexample.Prefix),
-				CounterexampleLoop: names(ab, res.Counterexample.Loop),
-			}, nil
-		})))
-	s.mux.HandleFunc("POST /v1/check/portfolio", s.traced("portfolio", true, s.handlePortfolio))
-	s.mux.HandleFunc("POST /v1/check/abstraction", s.traced("abstraction", true, s.handleAbstraction))
-	s.mux.HandleFunc("POST /v1/check/fair-abstract", s.traced("fair-abstract", true, s.handleFairAbstract))
-	s.mux.HandleFunc("POST /v1/check/statistical", s.traced("statistical", true, s.handleStatistical))
+	for _, e := range endpoints {
+		s.mux.HandleFunc("POST /v1/check/"+e.name, s.traced(e.name, true, s.handleCheck(e)))
+	}
 	s.mux.HandleFunc("GET /healthz", s.traced("healthz", false, s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.traced("metrics", false, s.handleMetrics))
 	s.mux.HandleFunc("GET /debug/checks", s.traced("debug", false, s.handleDebugChecks))
 	s.mux.HandleFunc("GET /debug/checks/{trace}", s.traced("debug", false, s.handleDebugTrace))
 }
 
-// checkHandler builds the handler for one single-property endpoint:
-// decode → report-cache probe → admission → bounded, cancellable check
-// → cache fill. Cache hits are served without consuming a worker slot.
-func (s *Server) checkHandler(endpoint string, run func(context.Context, *core.SystemCells, *core.PipelineCells) (any, error)) http.HandlerFunc {
+// handleCheck is the one handler behind every endpoint of the table. It
+// runs each request in one order: decode and key → report LRU →
+// persistent store → resolve the inputs against the cached system cells
+// (noting pipeline-hit or miss) → admission → the serve.<name> span
+// around the check → marshal, cache fill, and write-through. Bad input
+// is a 400 before admission, and report and store hits are served
+// without consuming a worker slot. A cached report key implies its
+// inputs were valid, so a hit returns before they are resolved.
+func (s *Server) handleCheck(e *endpoint) http.HandlerFunc {
+	spanName := "serve." + e.name
 	return func(w http.ResponseWriter, r *http.Request) {
 		obs.Count(s.tr, "serve.requests", 1)
 		body, err := readBody(w, r)
@@ -143,38 +109,34 @@ func (s *Server) checkHandler(endpoint string, run func(context.Context, *core.S
 			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
 			return
 		}
-		req, err := DecodeCheckRequest(body)
+		req, err := e.decode(body)
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
 			return
 		}
-		sysKey, sc, err := s.resolveSystem(req.System)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-			return
-		}
-		propPart, prop, err := resolveProperty(sc, req.LTL, req.Omega)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-			return
-		}
-		rkey := reportKey(endpoint, sysKey, propPart)
 		ri := reqFrom(r.Context())
-		if ri != nil {
-			ri.hash = rkey
-		}
-		if !req.NoCache {
-			if cached, ok := s.reports.Get(rkey); ok {
+		if !req.noCache {
+			if cached, ok := s.reports.Get(req.rkey); ok {
 				obs.Count(s.tr, "serve.cache.report_hits", 1)
-				s.noteCachePath(ri, cachePathReportHit, true)
+				noteCachePath(ri, req.rkey, cachePathReportHit)
 				writeCached(w, cached, true)
 				return
 			}
-			if cached, ok := s.storeGetReport(rkey); ok {
-				s.noteCachePath(ri, cachePathStoreHit, true)
+			if cached, ok := s.storeGetReport(req.rkey); ok {
+				noteCachePath(ri, req.rkey, cachePathStoreHit)
 				writeCached(w, cached, true)
 				return
 			}
+		}
+		c, err := req.resolve(s, s.systemCells(req.system))
+		if err != nil {
+			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
+			return
+		}
+		if c.pipeHit {
+			noteCachePath(ri, req.rkey, cachePathPipelineHit)
+		} else {
+			noteCachePath(ri, req.rkey, cachePathMiss)
 		}
 		release, status, aerr := s.admit(r.Context())
 		if aerr != nil || status != 0 {
@@ -185,13 +147,14 @@ func (s *Server) checkHandler(endpoint string, run func(context.Context, *core.S
 		defer s.inflight.Done()
 		defer release()
 
-		ctx, cancel := s.checkContext(r, req.TimeoutMS)
+		ctx, cancel := s.checkContext(r, req.timeoutMS)
 		defer cancel()
 		rec := s.recorder(r.Context())
-		pc, pipeHit := s.pipelineFor(sysKey, propPart, sc, prop)
-		s.noteCachePath(ri, pipePath(pipeHit), false)
-		sp := obs.StartSpan(rec, "serve."+endpoint)
-		out, err := run(ctx, sc, pc)
+		sp := obs.StartSpan(rec, spanName)
+		if c.properties > 0 {
+			sp.Int("properties", int64(c.properties))
+		}
+		out, err := c.run(ctx, rec)
 		if err != nil {
 			sp.Tag("outcome", s.outcome(err))
 			sp.End()
@@ -200,7 +163,7 @@ func (s *Server) checkHandler(endpoint string, run func(context.Context, *core.S
 		}
 		sp.Tag("outcome", "ok")
 		sp.End()
-		s.finish(w, r, rkey, out, req.NoCache)
+		s.finish(w, r, req.rkey, out, req.noCache)
 	}
 }
 
@@ -212,388 +175,18 @@ const (
 	cachePathMiss        = "miss"         // full cold pipeline
 )
 
-func pipePath(hit bool) string {
-	if hit {
-		return cachePathPipelineHit
-	}
-	return cachePathMiss
-}
-
-// noteCachePath records where the response came from; a report hit is
-// also a completed check ("ok") since it bypasses the run entirely.
-func (s *Server) noteCachePath(ri *reqInfo, path string, reportHit bool) {
+// noteCachePath records the request's report key and where its response
+// came from; a report or store hit is also a completed check ("ok")
+// since it bypasses the run entirely.
+func noteCachePath(ri *reqInfo, rkey, path string) {
 	if ri == nil {
 		return
 	}
+	ri.hash = rkey
 	ri.cachePath = path
-	if reportHit {
+	if path == cachePathReportHit || path == cachePathStoreHit {
 		ri.verdict = "ok"
 	}
-}
-
-// handlePortfolio checks every property of the request against one
-// system, reusing the cached per-property artifact sets; all properties
-// share the system's trimmed-behavior cells, so the system is trimmed
-// once no matter how many properties ride along.
-func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
-	obs.Count(s.tr, "serve.requests", 1)
-	body, err := readBody(w, r)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	req, err := DecodePortfolioRequest(body)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	sysKey, sc, err := s.resolveSystem(req.System)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	type job struct {
-		part string
-		pc   *core.PipelineCells
-	}
-	jobs := make([]job, 0, len(req.LTLs)+len(req.Omegas))
-	keyParts := []string{"portfolio", sysKey}
-	allPipesHit := true
-	add := func(ltlText, omegaText string) error {
-		part, prop, perr := resolveProperty(sc, ltlText, omegaText)
-		if perr != nil {
-			return perr
-		}
-		pc, hit := s.pipelineFor(sysKey, part, sc, prop)
-		allPipesHit = allPipesHit && hit
-		jobs = append(jobs, job{part: part, pc: pc})
-		keyParts = append(keyParts, part)
-		return nil
-	}
-	for _, t := range req.LTLs {
-		if err := add(t, ""); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-			return
-		}
-	}
-	for _, t := range req.Omegas {
-		if err := add("", t); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-			return
-		}
-	}
-	rkey := hashKey(keyParts...)
-	ri := reqFrom(r.Context())
-	if ri != nil {
-		ri.hash = rkey
-	}
-	if !req.NoCache {
-		if cached, ok := s.reports.Get(rkey); ok {
-			obs.Count(s.tr, "serve.cache.report_hits", 1)
-			s.noteCachePath(ri, cachePathReportHit, true)
-			writeCached(w, cached, true)
-			return
-		}
-		if cached, ok := s.storeGetReport(rkey); ok {
-			s.noteCachePath(ri, cachePathStoreHit, true)
-			writeCached(w, cached, true)
-			return
-		}
-	}
-	// A portfolio's cache path reflects its weakest link: pipeline-hit
-	// only when every property's artifact set was already cached.
-	s.noteCachePath(ri, pipePath(allPipesHit), false)
-	release, status, aerr := s.admit(r.Context())
-	if aerr != nil || status != 0 {
-		s.writeAdmissionFailure(w, r, status, aerr)
-		return
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	defer release()
-
-	ctx, cancel := s.checkContext(r, req.TimeoutMS)
-	defer cancel()
-	rec := s.recorder(r.Context())
-	sp := obs.StartSpan(rec, "serve.portfolio").Int("properties", int64(len(jobs)))
-	resp := &PortfolioResponse{Reports: make([]*core.Report, len(jobs))}
-	for i, j := range jobs {
-		rep, err := core.CheckAllCellsCtx(ctx, rec, j.pc, s.cfg.Parallelism)
-		if err != nil {
-			sp.Tag("outcome", s.outcome(err))
-			sp.End()
-			s.writeCheckError(w, r, err)
-			return
-		}
-		resp.Reports[i] = rep
-	}
-	sp.Tag("outcome", "ok")
-	sp.End()
-	s.finish(w, r, rkey, resp, req.NoCache)
-}
-
-// handleAbstraction runs the paper's abstraction method (Sections 6–8).
-// The underlying procedure is not yet context-plumbed, so cancellation
-// is honored at admission and between requests but not mid-check; the
-// worker pool still bounds its concurrency.
-func (s *Server) handleAbstraction(w http.ResponseWriter, r *http.Request) {
-	obs.Count(s.tr, "serve.requests", 1)
-	body, err := readBody(w, r)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	req, err := DecodeAbstractionRequest(body)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	sysKey, sc, err := s.resolveSystem(req.System)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	h, err := hom.Parse(sc.System().Alphabet(), req.Hom)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	eta, err := ltl.Parse(req.Eta)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	rkey := hashKey("abstraction", sysKey, req.Hom, eta.String())
-	ri := reqFrom(r.Context())
-	if ri != nil {
-		ri.hash = rkey
-	}
-	if !req.NoCache {
-		if cached, ok := s.reports.Get(rkey); ok {
-			obs.Count(s.tr, "serve.cache.report_hits", 1)
-			s.noteCachePath(ri, cachePathReportHit, true)
-			writeCached(w, cached, true)
-			return
-		}
-		if cached, ok := s.storeGetReport(rkey); ok {
-			s.noteCachePath(ri, cachePathStoreHit, true)
-			writeCached(w, cached, true)
-			return
-		}
-	}
-	// The abstraction route has no pipeline-cell cache; anything past
-	// the report cache is a cold run.
-	s.noteCachePath(ri, cachePathMiss, false)
-	release, status, aerr := s.admit(r.Context())
-	if aerr != nil || status != 0 {
-		s.writeAdmissionFailure(w, r, status, aerr)
-		return
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	defer release()
-
-	ctx, cancel := s.checkContext(r, req.TimeoutMS)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		s.writeCheckError(w, r, err)
-		return
-	}
-	rec := s.recorder(r.Context())
-	sp := obs.StartSpan(rec, "serve.abstraction")
-	rep, err := core.VerifyViaAbstractionRec(rec, sc.System(), h, eta)
-	if err != nil {
-		sp.Tag("outcome", "error")
-		sp.End()
-		s.writeError(w, r, http.StatusInternalServerError, "internal", err)
-		return
-	}
-	sp.Tag("outcome", "ok")
-	sp.End()
-	resp := &AbstractionResponse{
-		Conclusion:        rep.Conclusion.String(),
-		AbstractHolds:     rep.AbstractHolds,
-		Simple:            rep.Simple,
-		ExtendedMaximal:   rep.ExtendedMaximal,
-		AbstractStates:    rep.Abstract.NumStates(),
-		AbstractBadPrefix: names(rep.Abstract.Alphabet(), rep.AbstractBadPrefix),
-		SimplicityWitness: names(sc.System().Alphabet(), rep.SimplicityWitness),
-	}
-	if rep.Transformed != nil {
-		resp.Transformed = rep.Transformed.String()
-	}
-	s.finish(w, r, rkey, resp, req.NoCache)
-}
-
-// handleFairAbstract decides fairness within abstraction: every fair
-// run of the system (strong or weak transition fairness, evaluated on
-// the trimmed system) satisfies Eta through Hom. The response body is
-// the core.FairAbstractReport itself, so report-cache and store replays
-// are bit-identical to the cold run by construction. Unlike the plain
-// abstraction route this check is context-plumbed end to end, and its
-// system cells come from the structural-hash system LRU, so the trimmed
-// system is shared with every other endpoint.
-func (s *Server) handleFairAbstract(w http.ResponseWriter, r *http.Request) {
-	obs.Count(s.tr, "serve.requests", 1)
-	body, err := readBody(w, r)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	req, err := DecodeFairAbstractRequest(body)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	sysKey, sc, err := s.resolveSystem(req.System)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	h, err := hom.Parse(sc.System().Alphabet(), req.Hom)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	kind, err := core.ParseFairnessKind(req.Fairness)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	eta, err := ltl.Parse(req.Eta)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	rkey := hashKey("fair-abstract", sysKey, req.Hom, req.Fairness, eta.String())
-	ri := reqFrom(r.Context())
-	if ri != nil {
-		ri.hash = rkey
-	}
-	if !req.NoCache {
-		if cached, ok := s.reports.Get(rkey); ok {
-			obs.Count(s.tr, "serve.cache.report_hits", 1)
-			s.noteCachePath(ri, cachePathReportHit, true)
-			writeCached(w, cached, true)
-			return
-		}
-		if cached, ok := s.storeGetReport(rkey); ok {
-			s.noteCachePath(ri, cachePathStoreHit, true)
-			writeCached(w, cached, true)
-			return
-		}
-	}
-	// No per-(system, hom, fairness, eta) artifact cache yet; past the
-	// report cache only the system cells (trimmed system) are reused.
-	s.noteCachePath(ri, cachePathMiss, false)
-	release, status, aerr := s.admit(r.Context())
-	if aerr != nil || status != 0 {
-		s.writeAdmissionFailure(w, r, status, aerr)
-		return
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	defer release()
-
-	ctx, cancel := s.checkContext(r, req.TimeoutMS)
-	defer cancel()
-	rec := s.recorder(r.Context())
-	sp := obs.StartSpan(rec, "serve.fair-abstract")
-	rep, err := core.CheckFairAbstractCells(ctx, rec, sc, h, kind,
-		core.FromFormula(eta, ltl.Canonical(h.Dest())))
-	if err != nil {
-		sp.Tag("outcome", s.outcome(err))
-		sp.End()
-		s.writeCheckError(w, r, err)
-		return
-	}
-	sp.Tag("outcome", "ok")
-	sp.End()
-	s.finish(w, r, rkey, rep, req.NoCache)
-}
-
-// handleStatistical runs the sampling engine (internal/mc) over the
-// request's system: a confidence-interval relative-liveness verdict
-// whose report carries "statistical": true, sample counts, CI bounds,
-// and — on "fails" — the sampled counterexample lasso. The response
-// body is the core.StatisticalReport itself, a deterministic function
-// of (system, property, seed, samples, steps, confidence), so
-// report-cache, store, and router replays are byte-identical to the
-// cold run under a fixed seed. The decoder normalizes defaults before
-// keying, and the system cells come from the structural-hash system
-// LRU, sharing the trimmed system with every other endpoint.
-func (s *Server) handleStatistical(w http.ResponseWriter, r *http.Request) {
-	obs.Count(s.tr, "serve.requests", 1)
-	body, err := readBody(w, r)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	req, err := DecodeStatisticalRequest(body)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	sysKey, sc, err := s.resolveSystem(req.System)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	propPart, prop, err := resolveProperty(sc, req.LTL, req.Omega)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	rkey := statisticalKey(sysKey, propPart, req)
-	ri := reqFrom(r.Context())
-	if ri != nil {
-		ri.hash = rkey
-	}
-	if !req.NoCache {
-		if cached, ok := s.reports.Get(rkey); ok {
-			obs.Count(s.tr, "serve.cache.report_hits", 1)
-			s.noteCachePath(ri, cachePathReportHit, true)
-			writeCached(w, cached, true)
-			return
-		}
-		if cached, ok := s.storeGetReport(rkey); ok {
-			s.noteCachePath(ri, cachePathStoreHit, true)
-			writeCached(w, cached, true)
-			return
-		}
-	}
-	// Sampling has no per-property artifact cells; past the report cache
-	// only the system cells (trimmed system) are reused.
-	s.noteCachePath(ri, cachePathMiss, false)
-	release, status, aerr := s.admit(r.Context())
-	if aerr != nil || status != 0 {
-		s.writeAdmissionFailure(w, r, status, aerr)
-		return
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	defer release()
-
-	ctx, cancel := s.checkContext(r, req.TimeoutMS)
-	defer cancel()
-	rec := s.recorder(r.Context())
-	sp := obs.StartSpan(rec, "serve.statistical")
-	rep, err := core.CheckStatisticalCells(ctx, rec, sc, prop, core.StatOptions{
-		Seed:       req.Seed,
-		Samples:    req.Samples,
-		Steps:      req.Steps,
-		Confidence: req.Confidence,
-		Workers:    s.cfg.Parallelism,
-	})
-	if err != nil {
-		sp.Tag("outcome", s.outcome(err))
-		sp.End()
-		s.writeCheckError(w, r, err)
-		return
-	}
-	sp.Tag("outcome", "ok")
-	sp.End()
-	s.finish(w, r, rkey, rep, req.NoCache)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -657,11 +250,15 @@ func (s *Server) outcome(err error) string {
 
 // writeCheckError maps a failed check to a response: a client that went
 // away gets 499 (and likely never sees it), a server-side deadline gets
-// 504, anything else is an internal error. Context errors are counted
-// separately from check failures — the load tests and the obs span
-// "outcome" tags rely on the distinction.
+// 504, a system with no infinite behavior (which the abstraction method
+// cannot abstract) is the client's 400, anything else is an internal
+// error. Context errors are counted separately from check failures —
+// the load tests and the obs span "outcome" tags rely on the
+// distinction.
 func (s *Server) writeCheckError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
+	case errors.Is(err, ts.ErrNoInfiniteBehavior):
+		s.writeError(w, r, http.StatusBadRequest, "bad_request", err)
 	case isContextError(err) && r.Context().Err() != nil:
 		obs.Count(s.tr, "serve.cancelled", 1)
 		s.writeError(w, r, statusClientClosed, "cancelled", err)

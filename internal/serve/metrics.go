@@ -17,21 +17,15 @@ import (
 // serverMetrics is the server's latency-histogram set: per-endpoint
 // request latency, per-phase pipeline durations, queue wait, and
 // request latency split by cache path. The maps are built once at New
-// and only read afterwards, so observation is lock-free (the histograms
-// themselves are atomic); unknown labels hit a nil histogram, whose
-// Observe is a no-op.
+// (traced adds each mounted endpoint's series) and only read afterwards,
+// so observation is lock-free (the histograms themselves are atomic);
+// unknown labels hit a nil histogram, whose Observe is a no-op.
 type serverMetrics struct {
 	endpoint  map[string]*obs.Histogram // full request latency, ns
 	phase     map[string]*obs.Histogram // pipeline phase duration, ns, keyed "phase|kernel"
 	cachePath map[string]*obs.Histogram // request latency by cache path, ns
 	queueWait *obs.Histogram            // admission queue wait, ns
 	storeRead *obs.Histogram            // persistent-store report probe, ns
-}
-
-// endpointLabels lists every routed endpoint; keep in sync with routes.
-var endpointLabels = []string{
-	"all", "liveness", "safety", "satisfies", "portfolio", "abstraction",
-	"fair-abstract", "statistical", "healthz", "metrics", "debug",
 }
 
 var cachePathLabels = []string{cachePathReportHit, cachePathStoreHit, cachePathPipelineHit, cachePathMiss}
@@ -45,14 +39,11 @@ var kernelLabels = []string{
 
 func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
-		endpoint:  make(map[string]*obs.Histogram, len(endpointLabels)),
+		endpoint:  make(map[string]*obs.Histogram),
 		phase:     make(map[string]*obs.Histogram, len(core.Phases)*len(kernelLabels)),
 		cachePath: make(map[string]*obs.Histogram, len(cachePathLabels)),
 		queueWait: &obs.Histogram{},
 		storeRead: &obs.Histogram{},
-	}
-	for _, e := range endpointLabels {
-		m.endpoint[e] = &obs.Histogram{}
 	}
 	for _, p := range core.Phases {
 		for _, k := range kernelLabels {

@@ -60,8 +60,12 @@ func (s *Server) recorder(ctx context.Context) obs.Recorder {
 // pipeline: trace-ID adoption/minting, the per-request span tree,
 // latency histograms, the flight recorder, and JSON-lines logging.
 // check marks the load-bearing endpoints whose completions land in the
-// flight ring.
+// flight ring. Wrapping an endpoint registers its latency series, so
+// every mounted endpoint appears on /metrics from the start.
 func (s *Server) traced(endpoint string, check bool, h http.HandlerFunc) http.HandlerFunc {
+	if s.metrics.endpoint[endpoint] == nil {
+		s.metrics.endpoint[endpoint] = &obs.Histogram{}
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		ri := &reqInfo{
 			endpoint: endpoint,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -16,9 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"relive/internal/ltl"
 	"relive/internal/obs"
-	"relive/internal/ts"
 )
 
 // Router is rlserve's shard-routing mode: a stateless front end that
@@ -40,10 +39,10 @@ import (
 // retryable immediately.
 //
 // Answers are bit-identical to single-node rlserve: the router never
-// rewrites a backend response body, and its request keys are computed
-// by the same parse → canonicalize → hash functions the backends use,
-// so router-level coalescing can only merge requests a single backend
-// would have merged in its report cache anyway.
+// rewrites a backend response body, and it keys requests with the
+// backends' own endpoint-table decode, so router-level coalescing can
+// only merge requests a single backend would have merged in its report
+// cache anyway.
 
 // RouterConfig tunes a Router. Backends is required; everything else
 // has a serving-appropriate default.
@@ -285,162 +284,6 @@ func (rt *Router) pick(key string) []*routeBackend {
 	return append(append(under, over...), down...)
 }
 
-// routeKey is what the router needs to place and coalesce one request:
-// the report key (coalescing identity — exactly the backends' report
-// cache key), the system key (placement — keeps a system's artifact
-// cells on one backend), and the request's own timeout/no_cache flags.
-type routeKey struct {
-	rkey      string
-	sysKey    string
-	timeoutMS int
-	noCache   bool
-}
-
-var errUnknownEndpoint = errors.New("unknown check endpoint")
-
-// routeKeyFor computes a request's keys with the same parse →
-// canonicalize → hash pipeline the backends use, so router coalescing
-// merges exactly the requests a backend's report cache would. It
-// rejects only what every backend would reject the same way (body
-// shape, system text, LTL syntax); alphabet-dependent validation
-// (ω-regexes, homomorphisms) is left to the routed backend, whose 400
-// is proxied back verbatim.
-func routeKeyFor(endpoint string, body []byte) (routeKey, error) {
-	switch endpoint {
-	case "all", "liveness", "safety", "satisfies":
-		req, err := DecodeCheckRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		part, err := propertyKeyPart(req.LTL, req.Omega)
-		if err != nil {
-			return routeKey{}, err
-		}
-		return routeKey{
-			rkey:      reportKey(endpoint, sysKey, part),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	case "portfolio":
-		req, err := DecodePortfolioRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		keyParts := []string{"portfolio", sysKey}
-		for _, t := range req.LTLs {
-			part, perr := propertyKeyPart(t, "")
-			if perr != nil {
-				return routeKey{}, perr
-			}
-			keyParts = append(keyParts, part)
-		}
-		for _, t := range req.Omegas {
-			keyParts = append(keyParts, "omega\x00"+t)
-		}
-		return routeKey{
-			rkey:      hashKey(keyParts...),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	case "abstraction":
-		req, err := DecodeAbstractionRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		eta, err := ltl.Parse(req.Eta)
-		if err != nil {
-			return routeKey{}, err
-		}
-		return routeKey{
-			rkey:      hashKey("abstraction", sysKey, req.Hom, eta.String()),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	case "fair-abstract":
-		req, err := DecodeFairAbstractRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		eta, err := ltl.Parse(req.Eta)
-		if err != nil {
-			return routeKey{}, err
-		}
-		return routeKey{
-			rkey:      hashKey("fair-abstract", sysKey, req.Hom, req.Fairness, eta.String()),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	case "statistical":
-		// DecodeStatisticalRequest normalizes seed/budget/confidence
-		// defaults, and statisticalKey is the very function the backend
-		// keys its report cache with, so router coalescing merges exactly
-		// the requests a backend would.
-		req, err := DecodeStatisticalRequest(body)
-		if err != nil {
-			return routeKey{}, err
-		}
-		sysKey, err := systemKey(req.System)
-		if err != nil {
-			return routeKey{}, err
-		}
-		part, err := propertyKeyPart(req.LTL, req.Omega)
-		if err != nil {
-			return routeKey{}, err
-		}
-		return routeKey{
-			rkey:      statisticalKey(sysKey, part, req),
-			sysKey:    sysKey,
-			timeoutMS: req.TimeoutMS,
-			noCache:   req.NoCache,
-		}, nil
-	}
-	return routeKey{}, errUnknownEndpoint
-}
-
-// systemKey parses and canonicalizes a system text into the same
-// structural key resolveSystem computes.
-func systemKey(text string) (string, error) {
-	sys, err := ts.ParseString(text)
-	if err != nil {
-		return "", err
-	}
-	return hashKey("sys", sys.FormatString()), nil
-}
-
-// propertyKeyPart mirrors resolveProperty's key computation without a
-// system alphabet: LTL is canonicalized through its parse tree,
-// ω-regexes are keyed by raw text (exactly as the backends key them).
-func propertyKeyPart(ltlText, omegaText string) (string, error) {
-	if ltlText != "" {
-		f, err := ltl.Parse(ltlText)
-		if err != nil {
-			return "", err
-		}
-		return "ltl\x00" + f.String(), nil
-	}
-	return "omega\x00" + omegaText, nil
-}
-
 // handleCheck places, coalesces, and proxies one check request.
 func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
@@ -450,39 +293,42 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
-	endpoint := r.PathValue("endpoint")
-	rk, err := routeKeyFor(endpoint, body)
+	e := endpointNamed(r.PathValue("endpoint"))
+	if e == nil {
+		http.NotFound(w, r)
+		return
+	}
+	// Placement by the system key, coalescing by the report key. Inputs
+	// bound to the system's alphabet (ω-regexes, homomorphisms) are left
+	// to the backend, whose 400 is proxied back verbatim.
+	req, err := e.decode(body)
 	if err != nil {
-		if errors.Is(err, errUnknownEndpoint) {
-			http.NotFound(w, r)
-			return
-		}
 		rt.badRequests.Add(1)
 		rt.writeError(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
 
 	timeout := rt.cfg.ProxyTimeout
-	if rk.timeoutMS > 0 {
+	if req.timeoutMS > 0 {
 		// The backend enforces the request's own timeout; the proxy
 		// deadline only backstops a hung connection.
-		timeout = time.Duration(rk.timeoutMS)*time.Millisecond + 15*time.Second
+		timeout = time.Duration(req.timeoutMS)*time.Millisecond + 15*time.Second
 	}
 	traceparent := r.Header.Get("traceparent")
 	run := func(ctx context.Context) (*proxyResult, error) {
-		return rt.proxy(ctx, endpoint, rk.sysKey, body, traceparent)
+		return rt.proxy(ctx, e.name, req.system.key, body, traceparent)
 	}
 
 	var res *proxyResult
 	var shared bool
-	if rk.noCache {
+	if req.noCache {
 		// no_cache requests exist to measure the cold path; coalescing
 		// them would hand one client another's answer.
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		res, err = run(ctx)
 		cancel()
 	} else {
-		res, shared, err = rt.coalesce(rk.rkey, r.Context(), timeout, run)
+		res, shared, err = rt.coalesce(req.rkey, r.Context(), timeout, run)
 		if shared {
 			rt.coalesced.Add(1)
 		}
@@ -608,7 +454,7 @@ func (rt *Router) proxy(ctx context.Context, endpoint, sysKey string, body []byt
 
 // tryBackend proxies one request to one backend.
 func (rt *Router) tryBackend(ctx context.Context, b *routeBackend, endpoint string, body []byte, traceparent string) (*proxyResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/check/"+endpoint, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/check/"+endpoint, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -623,7 +469,9 @@ func (rt *Router) tryBackend(ctx context.Context, b *routeBackend, endpoint stri
 		b.inflight.Add(-1)
 		return nil, err
 	}
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes+1))
+	// The whole body, at any size: MaxBodyBytes caps requests, and an
+	// answer cut at any cap would replay as a truncated 200.
+	respBody, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	b.latency.Observe(time.Since(start).Nanoseconds())
 	b.inflight.Add(-1)

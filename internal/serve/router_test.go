@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,13 +12,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"relive/internal/ltl"
 )
 
 // The router's white-box suite: the key mirror (router keys must equal
 // the backends' cache keys, or coalescing would merge what a backend
-// would not), ring placement, bounded load, and the coalescing cell's
+// would not, and must not drift from warm store volumes), ring placement, bounded load, and the coalescing cell's
 // lifecycle. The black-box cluster behavior lives in cluster_test.go.
 
 // stubBackends starts n trivial HTTP servers whose /healthz always
@@ -46,190 +45,115 @@ func newTestRouter(t *testing.T, urls []string) *Router {
 }
 
 // TestRouteKeyMirrorsBackendKeys pins the router's central invariant:
-// routeKeyFor computes exactly the report key the backend handlers
-// cache under, for every endpoint shape — so router-level coalescing
-// can only merge requests a single backend's report cache would merge.
+// the key the router derives for a body is exactly the report key a
+// backend caches its answer under, so router-level coalescing can only
+// merge requests a single backend's report cache would merge. Every body
+// is served through a real Server, and the router's key must equal the
+// hash the backend's flight record carries. Each key is also pinned to
+// its hex value: a change to the key format would orphan every warm
+// store volume, so it must fail here.
 func TestRouteKeyMirrorsBackendKeys(t *testing.T) {
 	s := New(Config{})
-	sysText := "init idle\nidle request busy\nbusy result idle\nbusy reject idle\n"
-
-	// Single-property endpoints: rkey must equal
-	// reportKey(endpoint, resolveSystem key, resolveProperty part).
-	sysKey, sc, err := s.resolveSystem(sysText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, _, err := resolveProperty(sc, "G F result", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, endpoint := range []string{"all", "liveness", "safety", "satisfies"} {
-		body, _ := json.Marshal(CheckRequest{System: sysText, LTL: "G F result"})
-		rk, err := routeKeyFor(endpoint, body)
-		if err != nil {
-			t.Fatalf("%s: %v", endpoint, err)
-		}
-		if want := reportKey(endpoint, sysKey, part); rk.rkey != want {
-			t.Fatalf("%s: router rkey %q != backend report key %q", endpoint, rk.rkey, want)
-		}
-		if rk.sysKey != sysKey {
-			t.Fatalf("%s: router sysKey %q != backend %q", endpoint, rk.sysKey, sysKey)
-		}
-	}
-
-	// ω-regex properties are keyed by raw text on both sides.
+	const sysText = "init idle\nidle request busy\nbusy result idle\nbusy reject idle\n"
+	// A differently-spelled but structurally identical system (blank
+	// lines, extra spaces) and formula spelling share one key.
+	const variant = "\ninit idle\n\nidle  request   busy\nbusy result idle\nbusy reject idle\n\n"
+	const sysKey = "64781e156e6478ec804a47fa94ea9de67559ae241941e0bce57a5029653a3cd5"
 	const omegaText = "( request result | request reject ) ^w"
-	omegaPart, _, err := resolveProperty(sc, "", omegaText)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		endpoint string
+		body     any
+		rkey     string
+	}{
+		{"all", CheckRequest{System: sysText, LTL: "G F result"},
+			"c848db0f254a6fb510d090d71480ef259e087e8617909c86f2be9d167e8eeb3f"},
+		{"liveness", CheckRequest{System: sysText, LTL: "G F result"},
+			"2c3ac39d0ec2f868cc6418e7a07128ba2e394e7422858b8d127facd3265c9ea4"},
+		{"safety", CheckRequest{System: sysText, LTL: "G F result"},
+			"06f83b365a3e103a5d87b14066ac61833ed2ac9a99c784a6e7301dcaf7a1b40f"},
+		{"satisfies", CheckRequest{System: sysText, LTL: "G F result"},
+			"42be4ab154b890f4c3bc123c06e4ba7c2c4e6cf9f830aefa6fc3317008e61670"},
+		// ω-regex properties are keyed by raw text on both sides.
+		{"all", CheckRequest{System: sysText, Omega: omegaText},
+			"d9d11855c78f36aa1ccc0819af0a7627f166337551511916675569d4272e04bf"},
+		{"portfolio", PortfolioRequest{System: sysText, LTLs: []string{"G F result", "G F request"}},
+			"64161dab72f3ea544dbb834a99da3a38dc5349d46f4e5cc9c97e4b263aa25a94"},
+		{"portfolio", PortfolioRequest{System: sysText, LTLs: []string{"G F result"}, Omegas: []string{omegaText}},
+			"9f90d67d6387dd3f4fba94e20defe9e526b8ab16d76b829a164d16dbc091d7d5"},
+		{"abstraction", AbstractionRequest{System: sysText,
+			Hom: "request=>request, result=>result, reject=>reject", Eta: "G F ( result | reject )"},
+			"529268ef69eaf3f77a36908e580fba204da9fa9a81b39176247821b97512ee13"},
+		// The fairness notion is part of the key, so strong and weak
+		// requests never coalesce into one another.
+		{"fair-abstract", FairAbstractRequest{System: sysText,
+			Hom: "request=>req, result=>ok, reject=>", Fairness: "strong", Eta: "G F ( ok )"},
+			"80e13a131e16a703c2857b973cb2c8def3236fe09c885a1327626a3c164c8aa0"},
+		{"fair-abstract", FairAbstractRequest{System: sysText,
+			Hom: "request=>req, result=>ok, reject=>", Fairness: "weak", Eta: "G F ( ok )"},
+			"e032cf6da84e72a5ab336ccf6ebb4193103afb96505640a443d611c9d7587bd7"},
+		// The decoder normalizes the sampling budget before keying, so an
+		// unset budget and the spelled-out defaults share a key; the seed
+		// is part of the key.
+		{"statistical", StatisticalRequest{System: sysText, LTL: "G F result", Seed: 7},
+			"2a3eba38109c6e37e0ea4c2cbc1740bee53d499dab7d245aaac47013bab1e9d8"},
+		{"statistical", StatisticalRequest{System: sysText, LTL: "G F result", Seed: 7,
+			Samples: 400, Steps: 256, Confidence: 0.99},
+			"2a3eba38109c6e37e0ea4c2cbc1740bee53d499dab7d245aaac47013bab1e9d8"},
+		{"statistical", StatisticalRequest{System: sysText, LTL: "G F result", Seed: 8},
+			"fd371910228ef1903a420b1a7b9c8327c8d255931213a6f207669ab72bd86f13"},
+		{"all", CheckRequest{System: variant, LTL: "G  F   result"},
+			"c848db0f254a6fb510d090d71480ef259e087e8617909c86f2be9d167e8eeb3f"},
+		{"all", CheckRequest{System: sysText, LTL: "G F request"},
+			"b7d43e8b748281b8d19b5de99d768dcc3c25b520514300c39b31e93302aa7446"},
 	}
-	body, _ := json.Marshal(CheckRequest{System: sysText, Omega: omegaText})
-	rk, err := routeKeyFor("all", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := reportKey("all", sysKey, omegaPart); rk.rkey != want {
-		t.Fatalf("omega: router rkey %q != backend report key %q", rk.rkey, want)
+	for i, tc := range cases {
+		body, err := json.Marshal(tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := endpointNamed(tc.endpoint).decode(body)
+		if err != nil {
+			t.Fatalf("case %d %s: router key: %v", i, tc.endpoint, err)
+		}
+		if req.rkey != tc.rkey {
+			t.Fatalf("case %d %s: router key %s, pinned %s", i, tc.endpoint, req.rkey, tc.rkey)
+		}
+		if req.system.key != sysKey {
+			t.Fatalf("case %d %s: placement key %s, pinned %s", i, tc.endpoint, req.system.key, sysKey)
+		}
+
+		traceID := fmt.Sprintf("%032x", i+1)
+		r := httptest.NewRequest(http.MethodPost, "/v1/check/"+tc.endpoint, bytes.NewReader(body))
+		r.Header.Set(TraceHeader, "00-"+traceID+"-00000000000000a1-01")
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("case %d %s: status %d: %s", i, tc.endpoint, w.Code, w.Body)
+		}
+		var hash string
+		for _, rec := range s.FlightRecords() {
+			if rec.TraceID == traceID {
+				hash = rec.Hash
+			}
+		}
+		if hash != req.rkey {
+			t.Fatalf("case %d %s: router key %s, backend flight record hash %q", i, tc.endpoint, req.rkey, hash)
+		}
 	}
 
-	// Portfolio: hashKey("portfolio", sysKey, parts...).
-	body, _ = json.Marshal(PortfolioRequest{System: sysText, LTLs: []string{"G F result", "G F request"}})
-	rk, err = routeKeyFor("portfolio", body)
-	if err != nil {
-		t.Fatal(err)
+	// Malformed requests are rejected by the router's key derivation with
+	// the errors the backend would produce.
+	for _, bad := range []struct{ endpoint, body string }{
+		{"all", `{"ltl":"G F a"}`},
+		{"fair-abstract", `{"system":"init s\ns a s\n","hom":"a=>x","fairness":"fair","eta":"G x"}`},
+		{"statistical", `{"system":"init s\ns a s\n","ltl":"G a","samples":-1}`},
+	} {
+		if _, err := endpointNamed(bad.endpoint).decode([]byte(bad.body)); err == nil {
+			t.Fatalf("%s: router accepted %s", bad.endpoint, bad.body)
+		}
 	}
-	p1, _, _ := resolveProperty(sc, "G F result", "")
-	p2, _, _ := resolveProperty(sc, "G F request", "")
-	if want := hashKey("portfolio", sysKey, p1, p2); rk.rkey != want {
-		t.Fatalf("portfolio: router rkey %q != backend %q", rk.rkey, want)
-	}
-
-	// Abstraction: hashKey("abstraction", sysKey, raw hom, canonical η) —
-	// recomputed here exactly as handleAbstraction does.
-	homText := "request=>request, result=>result, reject=>reject"
-	etaText := "G F ( result | reject )"
-	body, _ = json.Marshal(AbstractionRequest{System: sysText, Hom: homText, Eta: etaText})
-	rk, err = routeKeyFor("abstraction", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eta, err := ltl.Parse(etaText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := hashKey("abstraction", sysKey, homText, eta.String()); rk.rkey != want {
-		t.Fatalf("abstraction: router rkey %q != backend %q", rk.rkey, want)
-	}
-
-	// Fair-abstract: hashKey("fair-abstract", sysKey, raw hom, fairness,
-	// canonical η) — recomputed here exactly as handleFairAbstract does.
-	// The fairness notion is part of the key, so strong and weak requests
-	// never coalesce into one another.
-	faHom := "request=>req, result=>ok, reject=>"
-	faEta := "G F ( ok )"
-	body, _ = json.Marshal(FairAbstractRequest{System: sysText, Hom: faHom, Fairness: "strong", Eta: faEta})
-	rk, err = routeKeyFor("fair-abstract", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faParsed, err := ltl.Parse(faEta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := hashKey("fair-abstract", sysKey, faHom, "strong", faParsed.String()); rk.rkey != want {
-		t.Fatalf("fair-abstract: router rkey %q != backend %q", rk.rkey, want)
-	}
-	body, _ = json.Marshal(FairAbstractRequest{System: sysText, Hom: faHom, Fairness: "weak", Eta: faEta})
-	weakRK, err := routeKeyFor("fair-abstract", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weakRK.rkey == rk.rkey {
-		t.Fatal("strong and weak fair-abstract requests collided on one route key")
-	}
-	if weakRK.sysKey != rk.sysKey {
-		t.Fatal("same system got different placement keys for different fairness notions")
-	}
-	if _, err := routeKeyFor("fair-abstract", []byte(`{"system":"init s\ns a s\n","hom":"a=>x","fairness":"fair","eta":"G x"}`)); err == nil {
-		t.Fatal("invalid fairness notion accepted by the router")
-	}
-
-	// Statistical: statisticalKey(sysKey, propPart, normalized request) —
-	// the router runs the same decoder as the backend, so an unset budget
-	// and the explicitly-spelled defaults produce one key, and the seed
-	// is part of the key so distinct seeds never coalesce.
-	body, _ = json.Marshal(StatisticalRequest{System: sysText, LTL: "G F result", Seed: 7})
-	statRK, err := routeKeyFor("statistical", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statReq, err := DecodeStatisticalRequest(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := statisticalKey(sysKey, part, statReq); statRK.rkey != want {
-		t.Fatalf("statistical: router rkey %q != backend report key %q", statRK.rkey, want)
-	}
-	if statRK.sysKey != sysKey {
-		t.Fatalf("statistical: router sysKey %q != backend %q", statRK.sysKey, sysKey)
-	}
-	body, _ = json.Marshal(StatisticalRequest{
-		System: sysText, LTL: "G F result", Seed: 7, Samples: 400, Steps: 256, Confidence: 0.99})
-	explicitRK, err := routeKeyFor("statistical", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explicitRK.rkey != statRK.rkey {
-		t.Fatal("explicitly-spelled default budget got a different route key than the unset budget")
-	}
-	body, _ = json.Marshal(StatisticalRequest{System: sysText, LTL: "G F result", Seed: 8})
-	otherSeedRK, err := routeKeyFor("statistical", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if otherSeedRK.rkey == statRK.rkey {
-		t.Fatal("distinct seeds collided on one statistical route key")
-	}
-	if otherSeedRK.sysKey != statRK.sysKey {
-		t.Fatal("same system got different placement keys for different seeds")
-	}
-	if _, err := routeKeyFor("statistical", []byte(`{"system":"init s\ns a s\n","ltl":"G a","samples":-1}`)); err == nil {
-		t.Fatal("invalid sampling budget accepted by the router")
-	}
-
-	// Canonicalization: a differently-spelled but structurally identical
-	// system (extra blank lines, reordered transitions format the same)
-	// and formula spelling share one key; a different formula does not.
-	variant := "\ninit idle\n\nidle  request   busy\nbusy result idle\nbusy reject idle\n\n"
-	b1, _ := json.Marshal(CheckRequest{System: sysText, LTL: "G F result"})
-	b2, _ := json.Marshal(CheckRequest{System: variant, LTL: "G  F   result"})
-	k1, err1 := routeKeyFor("all", b1)
-	k2, err2 := routeKeyFor("all", b2)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if k1.rkey != k2.rkey || k1.sysKey != k2.sysKey {
-		t.Fatal("equivalent spellings of the same request got different route keys")
-	}
-	b3, _ := json.Marshal(CheckRequest{System: sysText, LTL: "G F request"})
-	k3, err := routeKeyFor("all", b3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k3.rkey == k1.rkey {
-		t.Fatal("different formulas collided on one route key")
-	}
-	if k3.sysKey != k1.sysKey {
-		t.Fatal("same system got different placement keys for different formulas")
-	}
-
-	// Malformed requests are rejected with the same parse errors the
-	// backend would produce; unknown endpoints are flagged distinctly.
-	if _, err := routeKeyFor("all", []byte(`{"ltl":"G F a"}`)); err == nil {
-		t.Fatal("missing system accepted")
-	}
-	if _, err := routeKeyFor("nope", b1); !errors.Is(err, errUnknownEndpoint) {
-		t.Fatalf("unknown endpoint error = %v", err)
+	if endpointNamed("nope") != nil {
+		t.Fatal("unknown endpoint found in the endpoint table")
 	}
 }
 

@@ -18,9 +18,7 @@ import (
 	"time"
 
 	"relive/internal/core"
-	"relive/internal/ltl"
 	"relive/internal/obs"
-	"relive/internal/rex"
 	"relive/internal/serve/cache"
 	"relive/internal/store"
 	"relive/internal/ts"
@@ -286,83 +284,56 @@ func (s *Server) storePut(kind, key string, payload []byte) {
 	}
 }
 
-// resolveSystem parses the request's system text and returns its
-// structural key plus the cached single-flight artifact handle. The
-// cached system is re-parsed from the canonical rendering, so its
-// symbol numbering depends only on the key: artifacts built against it
-// are interchangeable no matter how later requests spell the system.
-func (s *Server) resolveSystem(text string) (string, *core.SystemCells, error) {
-	sys, err := ts.ParseString(text)
-	if err != nil {
-		return "", nil, err
-	}
-	canon := sys.FormatString()
-	key := hashKey("sys", canon)
-	sc, hit := s.systems.GetOrAdd(key, func() *core.SystemCells {
-		csys, perr := ts.ParseString(canon)
-		if perr != nil {
+// systemCells returns the cached single-flight artifact handle for a
+// keyed system. The cached system is re-parsed from the canonical
+// rendering, so its symbol numbering depends only on the key: artifacts
+// built against it are interchangeable no matter how later requests
+// spell the system.
+func (s *Server) systemCells(ks *keyedSystem) *core.SystemCells {
+	sc, hit := s.systems.GetOrAdd(ks.key, func() *core.SystemCells {
+		csys, err := ts.ParseString(ks.canon)
+		if err != nil {
 			// Canonical text always round-trips; fall back defensively.
-			csys = sys
+			csys = ks.parsed
 		}
 		return core.NewSystemCells(csys)
 	})
 	if hit {
 		obs.Count(s.tr, "serve.cache.system_hits", 1)
 	} else {
-		s.storePut(storeKindSystem, key, []byte(canon))
+		s.storePut(storeKindSystem, ks.key, []byte(ks.canon))
 	}
-	return key, sc, nil
+	return sc
 }
 
-// resolveProperty parses the request's property against the cached
-// system's alphabet and returns its structural key part plus the
-// Property. Exactly one of ltlText and omegaText is non-empty
-// (validated at decode time).
-func resolveProperty(sc *core.SystemCells, ltlText, omegaText string) (string, core.Property, error) {
-	if ltlText != "" {
-		f, err := ltl.Parse(ltlText)
+// pipelineCells resolves properties against the cached system and returns
+// the cached artifact set for each (system, property) pair, creating
+// sets that share the system's trimmed-behavior cells on a miss. hit
+// reports whether every set was already cached: the flight recorder's
+// pipeline-hit cache path, which for a portfolio is its weakest link.
+func (s *Server) pipelineCells(sysKey string, sc *core.SystemCells, props ...property) ([]*core.PipelineCells, bool, error) {
+	cells := make([]*core.PipelineCells, len(props))
+	allHit := true
+	for i, p := range props {
+		prop, err := p.resolve(sc)
 		if err != nil {
-			return "", core.Property{}, err
+			return nil, false, err
 		}
-		// Canonical rendering: "GF result" and "G F result" share a key.
-		return "ltl\x00" + f.String(), core.FromFormula(f, nil), nil
-	}
-	o, err := rex.ParseOmega(sc.System().Alphabet(), omegaText)
-	if err != nil {
-		return "", core.Property{}, err
-	}
-	b, err := o.Buchi()
-	if err != nil {
-		return "", core.Property{}, err
-	}
-	// ω-regex properties are keyed by their raw text: the automaton is
-	// alphabet-bound, so the key must pair with the system key anyway.
-	return "omega\x00" + omegaText, core.FromAutomaton(b), nil
-}
-
-// pipelineFor returns the cached artifact set for (system, property),
-// creating one that shares the system's trimmed-behavior cells on a
-// miss; hit reports whether the set was already cached (the flight
-// recorder's pipeline-hit/miss cache-path classification).
-func (s *Server) pipelineFor(sysKey, propPart string, sc *core.SystemCells, p core.Property) (*core.PipelineCells, bool) {
-	key := hashKey("pipe", sysKey, propPart)
-	pc, hit := s.pipelines.GetOrAdd(key, func() *core.PipelineCells {
-		return core.NewPipelineCellsSharing(sc, p)
-	})
-	if hit {
-		obs.Count(s.tr, "serve.cache.pipeline_hits", 1)
-	} else if s.store != nil {
-		meta, err := json.Marshal(map[string]string{"system": sysKey, "property": propPart})
-		if err == nil {
-			s.storePut(storeKindPipeline, key, meta)
+		key := hashKey("pipe", sysKey, p.key)
+		pc, hit := s.pipelines.GetOrAdd(key, func() *core.PipelineCells {
+			return core.NewPipelineCellsSharing(sc, prop)
+		})
+		if hit {
+			obs.Count(s.tr, "serve.cache.pipeline_hits", 1)
+		} else if s.store != nil {
+			meta, err := json.Marshal(map[string]string{"system": sysKey, "property": p.key})
+			if err == nil {
+				s.storePut(storeKindPipeline, key, meta)
+			}
 		}
+		cells[i], allHit = pc, allHit && hit
 	}
-	return pc, hit
-}
-
-// reportKey keys the full-report cache per endpoint.
-func reportKey(endpoint, sysKey, propPart string) string {
-	return hashKey("report", endpoint, sysKey, propPart)
+	return cells, allHit, nil
 }
 
 // isContextError reports whether err is (or wraps) a cancellation or

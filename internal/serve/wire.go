@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"relive/internal/mc"
 )
@@ -139,9 +138,12 @@ type ErrorResponse struct {
 	Kind string `json:"kind"`
 }
 
-// decodeStrict unmarshals JSON rejecting unknown fields and trailing
-// garbage.
-func decodeStrict(data []byte, v any) error {
+// decodeBody enforces the body cap, then unmarshals strictly: unknown
+// fields and trailing data are errors. Every Decode*Request starts here.
+func decodeBody(data []byte, v any) error {
+	if len(data) > MaxBodyBytes {
+		return fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -155,23 +157,14 @@ func decodeStrict(data []byte, v any) error {
 
 // DecodeCheckRequest parses and validates a single-check request body.
 func DecodeCheckRequest(data []byte) (*CheckRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
 	var req CheckRequest
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeBody(data, &req); err != nil {
 		return nil, err
 	}
 	if err := validateSystemText(req.System); err != nil {
 		return nil, err
 	}
-	if (req.LTL == "") == (req.Omega == "") {
-		return nil, fmt.Errorf("exactly one of \"ltl\" and \"omega\" is required")
-	}
-	if err := validatePropertyText(req.LTL); err != nil {
-		return nil, err
-	}
-	if err := validatePropertyText(req.Omega); err != nil {
+	if err := validateOneProperty(req.LTL, req.Omega); err != nil {
 		return nil, err
 	}
 	if err := validateTimeout(req.TimeoutMS); err != nil {
@@ -182,11 +175,8 @@ func DecodeCheckRequest(data []byte) (*CheckRequest, error) {
 
 // DecodePortfolioRequest parses and validates a portfolio request body.
 func DecodePortfolioRequest(data []byte) (*PortfolioRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
 	var req PortfolioRequest
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeBody(data, &req); err != nil {
 		return nil, err
 	}
 	if err := validateSystemText(req.System); err != nil {
@@ -224,11 +214,8 @@ func DecodePortfolioRequest(data []byte) (*PortfolioRequest, error) {
 // DecodeAbstractionRequest parses and validates an abstraction request
 // body.
 func DecodeAbstractionRequest(data []byte) (*AbstractionRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
 	var req AbstractionRequest
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeBody(data, &req); err != nil {
 		return nil, err
 	}
 	if err := validateSystemText(req.System); err != nil {
@@ -255,11 +242,8 @@ func DecodeAbstractionRequest(data []byte) (*AbstractionRequest, error) {
 // DecodeFairAbstractRequest parses and validates a fair-abstract
 // request body.
 func DecodeFairAbstractRequest(data []byte) (*FairAbstractRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
 	var req FairAbstractRequest
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeBody(data, &req); err != nil {
 		return nil, err
 	}
 	if err := validateSystemText(req.System); err != nil {
@@ -291,23 +275,14 @@ func DecodeFairAbstractRequest(data []byte) (*FairAbstractRequest, error) {
 // any keying, so explicit-default and omitted-default bodies coalesce
 // in every cache and in the router.
 func DecodeStatisticalRequest(data []byte) (*StatisticalRequest, error) {
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
-	}
 	var req StatisticalRequest
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeBody(data, &req); err != nil {
 		return nil, err
 	}
 	if err := validateSystemText(req.System); err != nil {
 		return nil, err
 	}
-	if (req.LTL == "") == (req.Omega == "") {
-		return nil, fmt.Errorf("exactly one of \"ltl\" and \"omega\" is required")
-	}
-	if err := validatePropertyText(req.LTL); err != nil {
-		return nil, err
-	}
-	if err := validatePropertyText(req.Omega); err != nil {
+	if err := validateOneProperty(req.LTL, req.Omega); err != nil {
 		return nil, err
 	}
 	if req.Samples < 0 || req.Samples > maxStatSamples {
@@ -337,17 +312,6 @@ func DecodeStatisticalRequest(data []byte) (*StatisticalRequest, error) {
 	return &req, nil
 }
 
-// statisticalKey is the report-cache key of a *normalized* statistical
-// request; the router computes the same key from the same decoder, so
-// cluster coalescing merges exactly what a backend's cache would.
-func statisticalKey(sysKey, propPart string, req *StatisticalRequest) string {
-	return hashKey("statistical", sysKey, propPart,
-		strconv.FormatInt(req.Seed, 10),
-		strconv.Itoa(req.Samples),
-		strconv.Itoa(req.Steps),
-		strconv.FormatFloat(req.Confidence, 'g', -1, 64))
-}
-
 func validateSystemText(text string) error {
 	if text == "" {
 		return fmt.Errorf("\"system\" is required")
@@ -356,6 +320,15 @@ func validateSystemText(text string) error {
 		return fmt.Errorf("system text exceeds %d bytes", maxSystemBytes)
 	}
 	return nil
+}
+
+// validateOneProperty checks that exactly one of an LTL and an ω-regex
+// property is set, within the property size cap.
+func validateOneProperty(ltlText, omegaText string) error {
+	if (ltlText == "") == (omegaText == "") {
+		return fmt.Errorf("exactly one of \"ltl\" and \"omega\" is required")
+	}
+	return validatePropertyText(ltlText + omegaText)
 }
 
 func validatePropertyText(text string) error {

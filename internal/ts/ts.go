@@ -9,6 +9,7 @@ package ts
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -185,9 +186,14 @@ func (s *System) Behaviors() (*buchi.Buchi, error) {
 	return buchi.LimitOfAllAccepting(a.Trim())
 }
 
+// ErrNoInfiniteBehavior is the error Trim returns when no state
+// survives: the initial state has no infinite continuation, so the
+// system has no behavior at all.
+var ErrNoInfiniteBehavior = errors.New("ts: initial state has no infinite behavior")
+
 // Trim removes states that are unreachable or have no infinite
 // continuation, so that every remaining finite path is a prefix of a
-// behavior. It returns an error when nothing survives.
+// behavior. It returns ErrNoInfiniteBehavior when nothing survives.
 func (s *System) Trim() (*System, error) {
 	return s.TrimCtx(nil)
 }
@@ -241,7 +247,7 @@ func (s *System) TrimCtx(ctx context.Context) (*System, error) {
 		}
 	}
 	if !alive[s.initial] {
-		return nil, fmt.Errorf("ts: initial state has no infinite behavior")
+		return nil, ErrNoInfiniteBehavior
 	}
 	out := New(s.ab)
 	for v := 0; v < n; v++ {

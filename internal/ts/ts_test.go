@@ -1,6 +1,7 @@
 package ts
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -103,8 +104,8 @@ func TestTrimRemovesDeadEnds(t *testing.T) {
 	dead.AddEdge("x", "a", "y")
 	ix, _ := dead.LookupState("x")
 	dead.SetInitial(ix)
-	if _, err := dead.Trim(); err == nil {
-		t.Error("Trim accepted a system without infinite behavior")
+	if _, err := dead.Trim(); !errors.Is(err, ErrNoInfiniteBehavior) {
+		t.Errorf("Trim of a system without infinite behavior: err = %v, want ErrNoInfiniteBehavior", err)
 	}
 }
 

@@ -276,7 +276,7 @@ func (c *Checker) SynthesizeFairImplementation(sys *System, f *Formula) (*FairIm
 // VerifyViaAbstraction is the package-level VerifyViaAbstraction with
 // the Checker's options applied.
 func (c *Checker) VerifyViaAbstraction(sys *System, h *Hom, eta *Formula) (*AbstractionReport, error) {
-	return core.VerifyViaAbstractionRec(c.rec, sys, h, eta)
+	return core.VerifyViaAbstractionCtx(c.kernelCtx(nil), c.rec, sys, h, eta)
 }
 
 // CheckFairAbstract is the package-level CheckFairAbstract with the
