@@ -267,24 +267,3 @@ func (o Ops) IntersectEmpty(a, c *Buchi) bool {
 	_, ok := o.IntersectLasso(a, c)
 	return !ok
 }
-
-// Included is Included with instrumentation; the dominant cost is the
-// complementation of c, which appears as a child span.
-func (o Ops) Included(a, c *Buchi) (bool, word.Lasso, error) {
-	if o.Rec == nil {
-		return Included(a, c)
-	}
-	sp := obs.StartSpan(o.Rec, "buchi.Included").
-		Int("left_states", int64(a.NumStates())).
-		Int("right_states", int64(c.NumStates()))
-	defer sp.End()
-	comp, err := o.Complement(c)
-	if err != nil {
-		return false, word.Lasso{}, err
-	}
-	l, ok := o.IntersectLasso(a, comp)
-	if ok {
-		return false, l, nil
-	}
-	return true, word.Lasso{}, nil
-}

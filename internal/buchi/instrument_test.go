@@ -82,10 +82,6 @@ func TestOpsMatchesPlain(t *testing.T) {
 		if comp.AcceptsLasso(l) {
 			t.Errorf("%s: complement accepts a word of the original", name)
 		}
-		incl, _, err := ops.Included(b, c)
-		if err != nil || !incl {
-			t.Errorf("%s: Ops.Included = %v, %v; want true, nil", name, incl, err)
-		}
 		pre := ops.PrefixNFA(b)
 		if got, want := pre.NumStates(), b.PrefixNFA().NumStates(); got != want {
 			t.Errorf("%s: Ops.PrefixNFA states %d, want %d", name, got, want)

@@ -6,7 +6,6 @@ import (
 
 	"relive/internal/alphabet"
 	"relive/internal/interrupt"
-	"relive/internal/kernel"
 	"relive/internal/word"
 )
 
@@ -306,7 +305,7 @@ func (e *rankExplorer) search(ctx context.Context) ([]int32, error) {
 // IncludedRankCtx reports whether L_ω(a) ⊆ L_ω(c) by searching the
 // product of a with the lazy rank-based complement of c, returning a
 // counterexample lasso in L_ω(a) \ L_ω(c) when the inclusion fails. It
-// is the lazy route behind IncludedKernelCtx; Included is the eager
+// is the one Büchi inclusion route of the checks; Included is the eager
 // reference it is differ-checked against.
 func IncludedRankCtx(ctx context.Context, a, c *Buchi) (bool, word.Lasso, error) {
 	if a.NumStates() == 0 || len(a.initial) == 0 {
@@ -324,45 +323,4 @@ func IncludedRankCtx(ctx context.Context, a, c *Buchi) (bool, word.Lasso, error)
 		return true, word.Lasso{}, nil
 	}
 	return false, lassoWitness(e.edges, e.acc, e.parent, e.psym, comp), nil
-}
-
-// autoRankMin is the right-hand-side state count from which kernel.Auto
-// picks the lazy rank route for Büchi inclusion/universality. The eager
-// complement is 2^O(n log n) in this count; below the threshold it is
-// small enough that laziness cannot win.
-const autoRankMin = 8
-
-// ResolveKernel resolves an Auto kernel choice for a Büchi inclusion or
-// universality check whose right-hand side is c: the lazy rank route
-// from autoRankMin states, the eager complement-then-intersect route
-// below. Explicit choices pass through.
-func ResolveKernel(k kernel.Kind, c *Buchi) kernel.Kind {
-	switch k {
-	case kernel.Subset, kernel.Antichain:
-		return k
-	}
-	if c.NumStates() >= autoRankMin {
-		return kernel.Antichain
-	}
-	return kernel.Subset
-}
-
-// IncludedKernelCtx is Büchi inclusion dispatched over the kernel
-// choice: the lazy rank route when k resolves to the antichain/lazy
-// kernels, the eager Complement-then-IntersectLasso route otherwise.
-func IncludedKernelCtx(ctx context.Context, k kernel.Kind, a, c *Buchi) (bool, word.Lasso, error) {
-	if ResolveKernel(k, c) == kernel.Antichain {
-		return IncludedRankCtx(ctx, a, c)
-	}
-	ok, l, err := Included(a, c)
-	if err != nil {
-		return false, word.Lasso{}, err
-	}
-	return ok, l, nil
-}
-
-// UniversalKernelCtx reports whether L_ω(c) = Σ^ω, dispatched over the
-// kernel choice, with a rejected lasso as counterexample.
-func UniversalKernelCtx(ctx context.Context, k kernel.Kind, c *Buchi) (bool, word.Lasso, error) {
-	return IncludedKernelCtx(ctx, k, UniversalAutomaton(c.ab), c)
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"relive/internal/genbase"
-	"relive/internal/kernel"
+	"relive/internal/word"
 )
 
 // Differential tests for the lazy rank-based inclusion kernel: on
@@ -84,37 +84,25 @@ func TestUniversalKernelAgainstComplementEmptiness(t *testing.T) {
 		}
 		_, nonEmpty := comp.AcceptingLasso()
 		wantUniversal := !nonEmpty
-		for _, k := range []kernel.Kind{kernel.Subset, kernel.Antichain} {
-			got, l, err := UniversalKernelCtx(nil, k, c)
-			if err != nil {
-				t.Fatalf("trial %d: kernel %v: %v", trial, k, err)
+		sigma := UniversalAutomaton(ab)
+		eagerOK, eagerL, eagerErr := Included(sigma, c)
+		lazyOK, lazyL, lazyErr := IncludedRankCtx(nil, sigma, c)
+		for _, r := range []struct {
+			route string
+			got   bool
+			l     word.Lasso
+			err   error
+		}{{"eager", eagerOK, eagerL, eagerErr}, {"lazy", lazyOK, lazyL, lazyErr}} {
+			if r.err != nil {
+				t.Fatalf("trial %d: %s route: %v", trial, r.route, r.err)
 			}
-			if got != wantUniversal {
-				t.Fatalf("trial %d: kernel %v: universal=%v, complement emptiness says %v\nc=%v",
-					trial, k, got, wantUniversal, c)
+			if r.got != wantUniversal {
+				t.Fatalf("trial %d: %s route: universal=%v, complement emptiness says %v\nc=%v",
+					trial, r.route, r.got, wantUniversal, c)
 			}
-			if !got && c.AcceptsLasso(l) {
-				t.Fatalf("trial %d: kernel %v: rejected-lasso witness %v is accepted", trial, k, l.String(ab))
+			if !r.got && c.AcceptsLasso(r.l) {
+				t.Fatalf("trial %d: %s route: rejected-lasso witness %v is accepted", trial, r.route, r.l.String(ab))
 			}
 		}
-	}
-}
-
-func TestBuchiResolveKernelThreshold(t *testing.T) {
-	ab := genbase.Letters(2)
-	small := New(ab)
-	small.AddState(true)
-	big := New(ab)
-	for i := 0; i < 32; i++ {
-		big.AddState(i%3 == 0)
-	}
-	if got := ResolveKernel(kernel.Auto, small); got != kernel.Subset {
-		t.Fatalf("Auto on small rhs = %v, want Subset", got)
-	}
-	if got := ResolveKernel(kernel.Auto, big); got != kernel.Antichain {
-		t.Fatalf("Auto on big rhs = %v, want Antichain", got)
-	}
-	if got := ResolveKernel(kernel.Subset, big); got != kernel.Subset {
-		t.Fatalf("explicit Subset did not pass through: %v", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"relive/internal/alphabet"
 	"relive/internal/interrupt"
-	"relive/internal/kernel"
 	"relive/internal/word"
 )
 
@@ -24,38 +23,6 @@ import (
 // pair can never witness a failure. Verdicts and counterexample lengths
 // are bit-compatible with the subset route.
 
-// autoAntichainMin is the right-hand-side state count from which
-// kernel.Auto picks the antichain route for inclusion/universality.
-// Below it, the antichain bookkeeping cannot win anything and Auto
-// keeps the classic subset kernel (and its exact exploration order).
-const autoAntichainMin = 16
-
-// ResolveKernel resolves an Auto kernel choice for an inclusion or
-// universality check against right-hand side b: antichain from
-// autoAntichainMin states, subset below. Explicit choices pass through.
-func ResolveKernel(k kernel.Kind, b *NFA) kernel.Kind {
-	switch k {
-	case kernel.Subset, kernel.Antichain:
-		return k
-	}
-	// RemoveEpsilon preserves the state count, so the pre-ε-removal
-	// count is the post-removal one.
-	if b.NumStates() >= autoAntichainMin {
-		return kernel.Antichain
-	}
-	return kernel.Subset
-}
-
-// IncludedKernelCtx is IncludedCtx dispatched over the kernel choice:
-// the antichain kernel when k resolves to it, the classic subset
-// construction otherwise.
-func IncludedKernelCtx(ctx context.Context, k kernel.Kind, a, b *NFA) (bool, word.Word, error) {
-	if ResolveKernel(k, b) == kernel.Antichain {
-		return IncludedAntichainCtx(ctx, a, b)
-	}
-	return IncludedCtx(ctx, a, b)
-}
-
 // IncludedAntichain is IncludedAntichainCtx without cancellation.
 func IncludedAntichain(a, b *NFA) (bool, word.Word) {
 	ok, w, _ := IncludedAntichainCtx(nil, a, b)
@@ -65,9 +32,15 @@ func IncludedAntichain(a, b *NFA) (bool, word.Word) {
 // IncludedAntichainCtx reports whether L(a) ⊆ L(b) using the antichain
 // kernel, returning a shortest word in L(a) \ L(b) when the inclusion
 // fails. See the file comment for the algorithm; agreement with
-// IncludedCtx (same verdict, same counterexample length) is pinned by
-// the differential tests and the fuzz target.
+// IncludedCtx (same verdict, same counterexample) is pinned by the
+// differential tests.
 func IncludedAntichainCtx(ctx context.Context, a, b *NFA) (bool, word.Word, error) {
+	return includedAntichain(ctx, a, b, simulationCap)
+}
+
+// includedAntichain is IncludedAntichainCtx with the simulation-seeding
+// cap as a parameter; tests pass 0 to run without seeding.
+func includedAntichain(ctx context.Context, a, b *NFA, cap int) (bool, word.Word, error) {
 	ae := a.epsFree()
 	be := b.epsFree()
 	nb := be.NumStates()
@@ -90,7 +63,7 @@ func IncludedAntichainCtx(ctx context.Context, a, b *NFA) (bool, word.Word, erro
 		}
 	}
 
-	simBelow, cross := inclusionPreorder(ae, be, kernel.SimulationCapFromContext(ctx))
+	simBelow, cross := inclusionPreorder(ae, be, cap)
 
 	in := newSetInterner(nb)
 	scratch := newStateBits(nb)
@@ -221,19 +194,10 @@ func IncludedAntichainCtx(ctx context.Context, a, b *NFA) (bool, word.Word, erro
 }
 
 // Universal reports whether L(a) = Σ*, with a shortest rejected word as
-// counterexample, dispatching over the process-default kernel choice.
+// counterexample, on the antichain kernel.
 func Universal(a *NFA) (bool, word.Word) {
-	ok, w, _ := UniversalKernelCtx(nil, kernel.Default(), a)
+	ok, w, _ := UniversalAntichainCtx(nil, a)
 	return ok, w
-}
-
-// UniversalKernelCtx is universality dispatched over the kernel choice,
-// like IncludedKernelCtx.
-func UniversalKernelCtx(ctx context.Context, k kernel.Kind, a *NFA) (bool, word.Word, error) {
-	if ResolveKernel(k, a) == kernel.Antichain {
-		return UniversalAntichainCtx(ctx, a)
-	}
-	return UniversalSubsetCtx(ctx, a)
 }
 
 // UniversalSubsetCtx reports whether L(a) = Σ* by the plain on-the-fly
@@ -317,8 +281,14 @@ func UniversalSubsetCtx(ctx context.Context, a *NFA) (bool, word.Word, error) {
 // UniversalAntichainCtx is UniversalSubsetCtx with the frontier pruned
 // to an antichain of ⊆-minimal subsets under the simulation closure, as
 // in IncludedAntichainCtx with the trivial Σ* left component elided.
-// Verdicts and counterexample lengths match the subset route.
+// Verdicts and counterexamples match the subset route.
 func UniversalAntichainCtx(ctx context.Context, a *NFA) (bool, word.Word, error) {
+	return universalAntichain(ctx, a, simulationCap)
+}
+
+// universalAntichain is UniversalAntichainCtx with the
+// simulation-seeding cap as a parameter, like includedAntichain.
+func universalAntichain(ctx context.Context, a *NFA, cap int) (bool, word.Word, error) {
 	ae := a.epsFree()
 	nb := ae.NumStates()
 	if nb == 0 {
@@ -334,7 +304,7 @@ func UniversalAntichainCtx(ctx context.Context, a *NFA) (bool, word.Word, error)
 		}
 	}
 
-	simBelow := simBelowOf(ae, kernel.SimulationCapFromContext(ctx))
+	simBelow := simBelowOf(ae, cap)
 
 	in := newSetInterner(nb)
 	scratch := newStateBits(nb)

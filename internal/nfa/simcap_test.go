@@ -1,9 +1,9 @@
 // Differential test for the simulation-seeding cap: at cap 0 the
 // antichain kernels run with identity subsumption only, and their
-// verdicts and counterexample lengths must match both the fully-seeded
+// verdicts and counterexamples must match both the fully-seeded
 // antichain route and the classic subset route on every input. The
-// seeding is a pure pruning aid; this pins that turning it off is
-// always safe (the -sim-cap escape hatch).
+// seeding is a pure pruning aid; this pins that the fixed cap can never
+// change an answer.
 package nfa_test
 
 import (
@@ -11,14 +11,11 @@ import (
 	"testing"
 
 	"relive/internal/genbase"
-	"relive/internal/kernel"
 	"relive/internal/nfa"
 )
 
 func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	unseeded := kernel.WithSimulationCap(nil, 0)
-	seeded := kernel.WithSimulationCap(nil, 1<<20)
 	shapes := []genbase.Config{
 		{States: 6, Symbols: 2, Density: 0.5, AcceptRatio: 0.4},
 		{States: 12, Symbols: 3, Density: 0.4, AcceptRatio: 0.3},
@@ -31,11 +28,11 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 		b := genbase.NFA(rng, cfg, ab)
 
 		okRef, wRef := nfa.Included(a, b)
-		ok0, w0, err := nfa.IncludedAntichainCtx(unseeded, a, b)
+		ok0, w0, err := nfa.IncludedAntichainCap(nil, a, b, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		okS, wS, err := nfa.IncludedAntichainCtx(seeded, a, b)
+		okS, wS, err := nfa.IncludedAntichainCap(nil, a, b, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,8 +40,8 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 			t.Fatalf("trial %d: inclusion verdicts diverge: subset=%v cap0=%v seeded=%v", trial, okRef, ok0, okS)
 		}
 		if !okRef {
-			if len(w0) != len(wRef) || len(wS) != len(wRef) {
-				t.Fatalf("trial %d: counterexample lengths diverge: subset=%d cap0=%d seeded=%d", trial, len(wRef), len(w0), len(wS))
+			if !w0.Equal(wRef) || !wS.Equal(wRef) {
+				t.Fatalf("trial %d: counterexamples diverge: subset=%v cap0=%v seeded=%v", trial, wRef, w0, wS)
 			}
 			if !a.Accepts(w0) || b.Accepts(w0) {
 				t.Fatalf("trial %d: cap-0 counterexample is not genuine", trial)
@@ -55,15 +52,15 @@ func TestSimulationCapZeroKeepsVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u0, uw0, err := nfa.UniversalAntichainCtx(unseeded, a)
+		u0, uw0, err := nfa.UniversalAntichainCap(nil, a, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if u0 != uRef {
 			t.Fatalf("trial %d: universality verdicts diverge: subset=%v cap0=%v", trial, uRef, u0)
 		}
-		if !uRef && len(uw0) != len(uwRef) {
-			t.Fatalf("trial %d: universality counterexample lengths diverge: subset=%d cap0=%d", trial, len(uwRef), len(uw0))
+		if !uRef && !uw0.Equal(uwRef) {
+			t.Fatalf("trial %d: universality counterexamples diverge: subset=%v cap0=%v", trial, uwRef, uw0)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"relive/internal/alphabet"
 	"relive/internal/buchi"
 	"relive/internal/genbase"
-	"relive/internal/kernel"
 	"relive/internal/nfa"
+	"relive/internal/word"
 )
 
 // Adversarial benchmark families for the inclusion/universality
@@ -20,9 +20,10 @@ import (
 // nondeterministic right-hand side that requires at least one b: the
 // eager route builds the whole rank-based complement up front, the lazy
 // route finds the a^ω counterexample after touching a handful of
-// complement configurations. Each benchmark runs as /kernel=subset and
-// /kernel=antichain sub-benchmarks over the same instance, so the
-// BENCH_*.json files record the head-to-head on identical inputs.
+// complement configurations. Each benchmark runs the subset/eager
+// reference as /kernel=subset and the antichain/lazy kernel the checks
+// use as /kernel=antichain over the same instance, so the BENCH_*.json
+// files record the head-to-head on identical inputs.
 
 // kthFromEndNFA accepts words over ab whose k-th symbol from the end is
 // sym: a k+1 state chain behind a guessing self-loop.
@@ -111,17 +112,42 @@ func aOmega(ab *alphabet.Alphabet) *buchi.Buchi {
 	return a
 }
 
-var kernelKinds = []kernel.Kind{kernel.Subset, kernel.Antichain}
+// The two routes of each decision, reference first: the subset or
+// eager route under the name "subset", the kernel the checks run under
+// "antichain".
+var (
+	universalRoutes = []struct {
+		name string
+		run  func(a *nfa.NFA) (bool, word.Word, error)
+	}{
+		{"subset", func(a *nfa.NFA) (bool, word.Word, error) { return nfa.UniversalSubsetCtx(nil, a) }},
+		{"antichain", func(a *nfa.NFA) (bool, word.Word, error) { return nfa.UniversalAntichainCtx(nil, a) }},
+	}
+	inclusionRoutes = []struct {
+		name string
+		run  func(a, b *nfa.NFA) (bool, word.Word, error)
+	}{
+		{"subset", func(a, b *nfa.NFA) (bool, word.Word, error) { return nfa.IncludedCtx(nil, a, b) }},
+		{"antichain", func(a, b *nfa.NFA) (bool, word.Word, error) { return nfa.IncludedAntichainCtx(nil, a, b) }},
+	}
+	buchiInclusionRoutes = []struct {
+		name string
+		run  func(a, c *buchi.Buchi) (bool, word.Lasso, error)
+	}{
+		{"subset", buchi.Included},
+		{"antichain", func(a, c *buchi.Buchi) (bool, word.Lasso, error) { return buchi.IncludedRankCtx(nil, a, c) }},
+	}
+)
 
 func BenchmarkKthFromEndUniversality(b *testing.B) {
 	ab := genbase.Letters(2)
 	for _, k := range []int{8, 12, 16} {
 		trap := kthTrapNFA(ab, k)
-		for _, kind := range kernelKinds {
-			b.Run(fmt.Sprintf("k=%d/kernel=%s", k, kind), func(b *testing.B) {
+		for _, route := range universalRoutes {
+			b.Run(fmt.Sprintf("k=%d/kernel=%s", k, route.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ok, _, err := nfa.UniversalKernelCtx(nil, kind, trap)
+					ok, _, err := route.run(trap)
 					if err != nil || !ok {
 						b.Fatalf("universal=%v err=%v", ok, err)
 					}
@@ -136,11 +162,11 @@ func BenchmarkKthFromEndInclusion(b *testing.B) {
 	for _, k := range []int{8, 12, 16} {
 		left := kthFromEndNFA(ab, k, ab.Symbols()[0])
 		trap := kthTrapNFA(ab, k)
-		for _, kind := range kernelKinds {
-			b.Run(fmt.Sprintf("k=%d/kernel=%s", k, kind), func(b *testing.B) {
+		for _, route := range inclusionRoutes {
+			b.Run(fmt.Sprintf("k=%d/kernel=%s", k, route.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ok, _, err := nfa.IncludedKernelCtx(nil, kind, left, trap)
+					ok, _, err := route.run(left, trap)
 					if err != nil || !ok {
 						b.Fatalf("included=%v err=%v", ok, err)
 					}
@@ -155,11 +181,11 @@ func BenchmarkLazyRankInclusion(b *testing.B) {
 	for _, n := range []int{2, 3} {
 		left := aOmega(ab)
 		right := needsBBuchi(ab, n)
-		for _, kind := range kernelKinds {
-			b.Run(fmt.Sprintf("n=%d/kernel=%s", n, kind), func(b *testing.B) {
+		for _, route := range buchiInclusionRoutes {
+			b.Run(fmt.Sprintf("n=%d/kernel=%s", n, route.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ok, l, err := buchi.IncludedKernelCtx(nil, kind, left, right)
+					ok, l, err := route.run(left, right)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -172,10 +198,11 @@ func BenchmarkLazyRankInclusion(b *testing.B) {
 	}
 }
 
-// TestKernelAgreementAdversarial is the dual-kernel gate CI runs on the
-// adversarial corpus: both kernels must return the same verdict on
-// every instance, and every counterexample must be a genuine member of
-// the witness language. Benchmarks measure; this fails the build on
+// TestKernelAgreementAdversarial is the agreement gate CI runs on the
+// adversarial corpus: the antichain and lazy-rank kernels must return
+// the subset and eager references' verdict and counterexample on every
+// instance, and every counterexample must be a genuine member of the
+// witness language. Benchmarks measure; this fails the build on
 // divergence.
 func TestKernelAgreementAdversarial(t *testing.T) {
 	ab := genbase.Letters(2)
@@ -190,28 +217,31 @@ func TestKernelAgreementAdversarial(t *testing.T) {
 				n = trap.Clone()
 				n.SetAccepting(nfa.State(n.NumStates()-1), false)
 			}
-			uniS, wS, err := nfa.UniversalKernelCtx(nil, kernel.Subset, n)
+			uniS, wS, err := nfa.UniversalSubsetCtx(nil, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			uniA, wA, err := nfa.UniversalKernelCtx(nil, kernel.Antichain, n)
+			uniA, wA, err := nfa.UniversalAntichainCtx(nil, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if uniS != uniA {
 				t.Fatalf("k=%d mutate=%v: universality divergence: subset=%v antichain=%v", k, mutate, uniS, uniA)
 			}
-			if !uniA && (n.Accepts(wA) || n.Accepts(wS)) {
+			if !uniA && !wA.Equal(wS) {
+				t.Fatalf("k=%d mutate=%v: counterexamples diverge: subset %v, antichain %v", k, mutate, wS, wA)
+			}
+			if !uniA && n.Accepts(wA) {
 				t.Fatalf("k=%d mutate=%v: counterexample accepted by the automaton", k, mutate)
 			}
 		}
 		// Inclusion left ⊆ trap (holds) and trap ⊆ left (fails).
 		for _, pair := range [][2]*nfa.NFA{{left, trap}, {trap, left}} {
-			okS, wS, err := nfa.IncludedKernelCtx(nil, kernel.Subset, pair[0], pair[1])
+			okS, wS, err := nfa.IncludedCtx(nil, pair[0], pair[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			okA, wA, err := nfa.IncludedKernelCtx(nil, kernel.Antichain, pair[0], pair[1])
+			okA, wA, err := nfa.IncludedAntichainCtx(nil, pair[0], pair[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,8 +249,8 @@ func TestKernelAgreementAdversarial(t *testing.T) {
 				t.Fatalf("k=%d: inclusion divergence: subset=%v antichain=%v", k, okS, okA)
 			}
 			if !okA {
-				if len(wA) != len(wS) {
-					t.Fatalf("k=%d: counterexample lengths diverge: subset %d, antichain %d", k, len(wS), len(wA))
+				if !wA.Equal(wS) {
+					t.Fatalf("k=%d: counterexamples diverge: subset %v, antichain %v", k, wS, wA)
 				}
 				if !pair[0].Accepts(wA) || pair[1].Accepts(wA) {
 					t.Fatalf("k=%d: antichain counterexample not in L(a)\\L(b)", k)
@@ -231,8 +261,8 @@ func TestKernelAgreementAdversarial(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		left := aOmega(ab)
 		right := needsBBuchi(ab, n)
-		okE, lE, errE := buchi.IncludedKernelCtx(nil, kernel.Subset, left, right)
-		okL, lL, errL := buchi.IncludedKernelCtx(nil, kernel.Antichain, left, right)
+		okE, lE, errE := buchi.Included(left, right)
+		okL, lL, errL := buchi.IncludedRankCtx(nil, left, right)
 		if (errE == nil) != (errL == nil) {
 			t.Fatalf("n=%d: error divergence: eager %v, lazy %v", n, errE, errL)
 		}
@@ -243,11 +273,11 @@ func TestKernelAgreementAdversarial(t *testing.T) {
 			t.Fatalf("n=%d: Büchi inclusion divergence: eager=%v lazy=%v", n, okE, okL)
 		}
 		if !okL {
+			if !lL.Equal(lE) {
+				t.Fatalf("n=%d: lassos diverge: eager %v, lazy %v", n, lE.String(ab), lL.String(ab))
+			}
 			if !left.AcceptsLasso(lL) || right.AcceptsLasso(lL) {
 				t.Fatalf("n=%d: lazy lasso not in L(a)\\L(c)", n)
-			}
-			if !left.AcceptsLasso(lE) || right.AcceptsLasso(lE) {
-				t.Fatalf("n=%d: eager lasso not in L(a)\\L(c)", n)
 			}
 		}
 	}

@@ -91,40 +91,3 @@ func TestTraceJSONRoundTripPublic(t *testing.T) {
 		t.Errorf("dump has %d spans, trace has %d", len(d.Spans), len(tr.Spans()))
 	}
 }
-
-// TestWithSimulationCap: disabling the antichain kernels' simulation
-// seeding (cap 0) must not change any verdict — the preorder only
-// prunes redundant search work. Checked against the plain API on the
-// antichain kernel, where the seeding would otherwise run.
-func TestWithSimulationCap(t *testing.T) {
-	sys := observedServer(t)
-	f := relive.MustParseLTL("G F result")
-
-	plain, err := relive.CheckAll(sys, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cap := range []int{0, 1, 1 << 20} {
-		rep, err := relive.With(
-			relive.WithKernel(relive.KernelAntichain),
-			relive.WithSimulationCap(cap),
-		).CheckAll(sys, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Satisfied != plain.Satisfied ||
-			rep.RelativeLiveness != plain.RelativeLiveness ||
-			rep.RelativeSafety != plain.RelativeSafety {
-			t.Errorf("cap %d: verdicts diverge: %+v vs %+v", cap, rep, plain)
-		}
-	}
-	// The option alone (no WithKernel) must also route through the
-	// context path and keep verdicts.
-	rep, err := relive.With(relive.WithSimulationCap(0)).CheckAll(sys, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Satisfied != plain.Satisfied {
-		t.Errorf("sim-cap-only checker diverges: %+v vs %+v", rep, plain)
-	}
-}

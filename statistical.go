@@ -103,9 +103,6 @@ func (c *Checker) CheckStatistical(sys *System, f *Formula) (*StatisticalReport,
 
 // CheckStatisticalProperty is CheckStatistical for a Property.
 func (c *Checker) CheckStatisticalProperty(sys *System, p Property) (*StatisticalReport, error) {
-	if c.kernSet || c.simCapSet {
-		return core.CheckStatisticalCtx(c.kernelCtx(nil), c.rec, sys, p, c.statOptions())
-	}
 	return core.CheckStatisticalRec(c.rec, sys, p, c.statOptions())
 }
 
@@ -117,7 +114,7 @@ func (c *Checker) CheckStatisticalCtx(ctx context.Context, sys *System, f *Formu
 
 // CheckStatisticalPropertyCtx is CheckStatisticalCtx for a Property.
 func (c *Checker) CheckStatisticalPropertyCtx(ctx context.Context, sys *System, p Property) (*StatisticalReport, error) {
-	return core.CheckStatisticalCtx(c.kernelCtx(ctx), c.rec, sys, p, c.statOptions())
+	return core.CheckStatisticalCtx(ctx, c.rec, sys, p, c.statOptions())
 }
 
 // checkAllWithFallback is CheckAllPropertyCtx under
@@ -126,7 +123,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 	if c.fbStates > 0 && sys.NumStates() > c.fbStates {
 		return c.statFallbackReport(ctx, sys, p)
 	}
-	exactCtx := c.kernelCtx(ctx)
+	exactCtx := ctx
 	var cancel context.CancelFunc
 	if c.fbTimeout > 0 {
 		if exactCtx == nil {
@@ -153,7 +150,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 // carry the sampled answer and the Statistical field holds the full
 // sampled evidence, so the report can never be mistaken for exact.
 func (c *Checker) statFallbackReport(ctx context.Context, sys *System, p Property) (*Report, error) {
-	sr, err := core.CheckStatisticalCtx(c.kernelCtx(ctx), c.rec, sys, p, c.statOptions())
+	sr, err := core.CheckStatisticalCtx(ctx, c.rec, sys, p, c.statOptions())
 	if err != nil {
 		return nil, err
 	}
