@@ -39,7 +39,7 @@ test-oracle:
 # Short-budget native fuzzing of every target (seed corpora are in
 # testdata/fuzz/). Go runs one -fuzz pattern at a time, so loop.
 FUZZTIME ?= 10s
-FUZZTARGETS ?= FuzzParseLTL FuzzParseSystem FuzzParseHom FuzzCheckAll FuzzCheckFairAbstract FuzzCheckStatistical FuzzRbarPreservation FuzzServeRequest FuzzAntichainInclusion
+FUZZTARGETS ?= FuzzParseLTL FuzzParseSystem FuzzParseHom FuzzCheckAll FuzzCheckFairAbstract FuzzCheckStatistical FuzzRbarPreservation FuzzServeRequest FuzzAntichainInclusion FuzzBuchiEmptiness
 fuzz:
 	@for t in $(FUZZTARGETS); do \
 		echo "== $$t"; \

@@ -81,7 +81,7 @@ func BenchmarkComplementAblation(b *testing.B) {
 	b.Run("rank-based", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := closure.Complement(); err != nil {
+			if _, err := closure.Complement(nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 
 	"relive"
 	"relive/internal/alphabet"
+	"relive/internal/buchi"
 	"relive/internal/core"
 	"relive/internal/genbase"
 	"relive/internal/ltl"
@@ -684,6 +685,75 @@ func FuzzAntichainInclusion(f *testing.F) {
 		}
 		if !uniA && nb.Accepts(uw) {
 			t.Fatalf("universality counterexample accepted: %v\nb=%v", uw, nb)
+		}
+	})
+}
+
+// fuzzBuchi decodes a Büchi automaton over ab with at most maxStates
+// states from fuzzer bytes, as fuzzNFA does but without ε: the first
+// byte picks the state count, one byte the accepting mask, and each
+// remaining byte one transition (from, symbol, to).
+func fuzzBuchi(ab *relive.Alphabet, data []byte, maxStates int) *buchi.Buchi {
+	b := buchi.New(ab)
+	if len(data) == 0 {
+		return b
+	}
+	n := 1 + int(data[0])%maxStates
+	for i := 0; i < n; i++ {
+		b.AddState(len(data) > 1 && data[1]&(1<<(i%8)) != 0)
+	}
+	if len(data) > 2 {
+		numSyms := ab.Size()
+		for _, c := range data[2:] {
+			from := buchi.State(int(c>>5) % n)
+			to := buchi.State(int(c>>2&7) % n)
+			sym := alphabet.Symbol(1 + int(c)%numSyms)
+			b.AddTransition(from, sym, to)
+		}
+	}
+	b.SetInitial(0)
+	return b
+}
+
+// FuzzBuchiEmptiness differ-checks the on-the-fly product search behind
+// Büchi emptiness and inclusion against the oracle's Kosaraju on
+// fuzzer-built automaton pairs: IntersectLasso against
+// oracle.IsEmpty(Intersect(a, c)), IncludedRankCtx against
+// oracle.IsEmpty(Intersect(a, ¬c)) with the eager complement, and every
+// witness against oracle.AcceptsLasso.
+func FuzzBuchiEmptiness(f *testing.F) {
+	f.Add([]byte{2, 1, 0x4a, 0x91}, []byte{3, 5, 0x22, 0x7f, 0x08})
+	f.Add([]byte{1, 1, 0x05}, []byte{1, 0})
+	f.Add([]byte{5, 0x0a, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{3, 0x05, 9, 10, 11, 12, 13})
+	f.Fuzz(func(t *testing.T, da, dc []byte) {
+		if len(da) > 48 || len(dc) > 32 {
+			return // keep the eager complement cheap
+		}
+		ab := relive.NewAlphabet("a", "b")
+		a := fuzzBuchi(ab, da, 6)
+		c := fuzzBuchi(ab, dc, 3)
+
+		l, ok := buchi.IntersectLasso(a, c)
+		if want := !oracle.IsEmpty(buchi.Intersect(a, c)); ok != want {
+			t.Fatalf("IntersectLasso nonempty=%v, oracle %v\na=%v\nc=%v", ok, want, a, c)
+		}
+		if ok && (!oracle.AcceptsLasso(a, l) || !oracle.AcceptsLasso(c, l)) {
+			t.Fatalf("IntersectLasso witness %v not in L(a) ∩ L(c)\na=%v\nc=%v", l.String(ab), a, c)
+		}
+
+		incl, l, err := buchi.IncludedRankCtx(nil, a, c)
+		if err != nil {
+			t.Fatalf("IncludedRankCtx: %v", err)
+		}
+		notC, err := c.Complement(nil)
+		if err != nil {
+			t.Fatalf("Complement: %v", err)
+		}
+		if want := oracle.IsEmpty(buchi.Intersect(a, notC)); incl != want {
+			t.Fatalf("IncludedRankCtx included=%v, oracle %v\na=%v\nc=%v", incl, want, a, c)
+		}
+		if !incl && (!oracle.AcceptsLasso(a, l) || oracle.AcceptsLasso(c, l)) {
+			t.Fatalf("IncludedRankCtx counterexample %v not in L(a) \\ L(c)\na=%v\nc=%v", l.String(ab), a, c)
 		}
 	})
 }

@@ -152,10 +152,10 @@ func (b *Buchi) Clone() *Buchi {
 	return c
 }
 
-func (b *Buchi) initialInts() []int {
-	out := make([]int, len(b.initial))
+func (b *Buchi) initialIDs() []int32 {
+	out := make([]int32, len(b.initial))
 	for i, s := range b.initial {
-		out[i] = int(s)
+		out[i] = int32(s)
 	}
 	return out
 }
@@ -222,29 +222,8 @@ func FromNFA(a *nfa.NFA) (*Buchi, error) {
 func (b *Buchi) Reduce() *Buchi {
 	n := b.NumStates()
 	g := b.compiled().graph()
-	// States on an accepting cycle: in a nontrivial SCC containing an
-	// accepting state.
-	comps := graph.SCCsCSR(g)
-	onAcceptingCycle := make([]bool, n)
-	for _, c := range comps {
-		if graph.IsTrivialSCCCSR(c, g) {
-			continue
-		}
-		hasAcc := false
-		for _, v := range c {
-			if b.accepting[v] {
-				hasAcc = true
-				break
-			}
-		}
-		if hasAcc {
-			for _, v := range c {
-				onAcceptingCycle[v] = true
-			}
-		}
-	}
-	live := graph.CoReachableCSR(g, onAcceptingCycle)
-	reach := graph.ReachableCSR(g, b.initialInts())
+	live := liveStates(n, g.Succ, b.accepting)
+	reach, _ := graph.Reachable(nil, n, b.initialIDs(), g.Succ)
 
 	keep := make([]State, n)
 	for i := range keep {
@@ -276,6 +255,29 @@ func (b *Buchi) Reduce() *Buchi {
 	return out
 }
 
+// liveStates returns the states of 0..n-1 from which a cycle through an
+// accepting state is reachable: the members of a nontrivial SCC with an
+// accepting member, and every state that reaches one.
+func liveStates(n int, succ graph.Succ, acc []bool) []bool {
+	onAcceptingCycle := make([]bool, n)
+	// Cannot fail: a nil ctx never cancels and a static succ never errs.
+	graph.Search(nil, graph.Vertices(n), graph.Static(succ), func(comp []int32) bool {
+		if graph.IsTrivialSCC(comp, succ) {
+			return false
+		}
+		for _, v := range comp {
+			if acc[v] {
+				for _, u := range comp {
+					onAcceptingCycle[u] = true
+				}
+				break
+			}
+		}
+		return false
+	})
+	return graph.CoReachable(n, onAcceptingCycle, succ)
+}
+
 // IsEmpty reports whether L_ω(b) is empty.
 func (b *Buchi) IsEmpty() bool {
 	_, ok := b.AcceptingLasso()
@@ -288,59 +290,55 @@ func (b *Buchi) IsEmpty() bool {
 // through that state.
 func (b *Buchi) AcceptingLasso() (word.Lasso, bool) {
 	n := b.NumStates()
-	g := b.compiled().graph()
-	reach := graph.ReachableCSR(g, b.initialInts())
-	comps := graph.SCCsCSR(g)
-	compOf := graph.ComponentOf(n, comps)
+	c := b.compiled()
+	g := c.graph()
+	reach, _ := graph.Reachable(nil, n, b.initialIDs(), g.Succ)
 
-	// Find a reachable accepting state inside a nontrivial SCC.
-	target := -1
-	for _, c := range comps {
-		if graph.IsTrivialSCCCSR(c, g) {
-			continue
+	// The target is the first reachable accepting member of the first
+	// nontrivial SCC, in pop order over all states, that has one.
+	target := State(-1)
+	inSCC := make([]bool, n)
+	graph.Search(nil, graph.Vertices(n), graph.Static(g.Succ), func(comp []int32) bool {
+		if graph.IsTrivialSCC(comp, g.Succ) {
+			return false
 		}
-		for _, v := range c {
+		for _, v := range comp {
 			if reach[v] && b.accepting[v] {
-				target = v
-				break
+				target = State(v)
+				for _, u := range comp {
+					inSCC[u] = true
+				}
+				return true
 			}
 		}
-		if target >= 0 {
-			break
-		}
-	}
+		return false
+	})
 	if target < 0 {
 		return word.Lasso{}, false
 	}
 
-	prefix, _ := b.pathWord(b.initial, func(v State) bool { return int(v) == target }, nil)
-	// Cycle: shortest nonempty path from target back to target within its SCC.
-	inSCC := func(v State) bool { return compOf[v] == compOf[target] }
-	var starts []State
-	var startSyms []alphabet.Symbol
-	for sym, ts := range b.trans[target] {
-		for _, t := range ts {
-			if inSCC(t) {
-				starts = append(starts, t)
-				startSyms = append(startSyms, sym)
+	prefix, _ := b.pathWord(b.initial, func(v State) bool { return v == target }, nil)
+	// Cycle: a self-loop on the least symbol that has one, else the first
+	// edge, in symbol order, that stays in the SCC followed by a shortest
+	// path back to target within it.
+	for sym := alphabet.Symbol(1); int(sym) <= c.syms; sym++ {
+		for _, t := range c.row(target, sym) {
+			if State(t) == target {
+				return word.MustLasso(prefix, word.Word{sym}), true
 			}
 		}
 	}
-	// BFS from each first-step successor; take the first (shortest overall
-	// is not required, any cycle suffices).
-	for i, s := range starts {
-		if s == State(target) {
-			return word.MustLasso(prefix, word.Word{startSyms[i]}), true
+	within := func(v State) bool { return inSCC[v] }
+	for sym := alphabet.Symbol(1); int(sym) <= c.syms; sym++ {
+		for _, t := range c.row(target, sym) {
+			if inSCC[t] {
+				rest, _ := b.pathWord([]State{State(t)}, func(v State) bool { return v == target }, within)
+				return word.MustLasso(prefix, append(word.Word{sym}, rest...)), true
+			}
 		}
 	}
-	for i, s := range starts {
-		rest, ok := b.pathWord([]State{s}, func(v State) bool { return int(v) == target }, inSCC)
-		if ok {
-			loop := append(word.Word{startSyms[i]}, rest...)
-			return word.MustLasso(prefix, loop), true
-		}
-	}
-	return word.Lasso{}, false
+	// Unreachable: a nontrivial SCC has a cycle through every member.
+	panic("buchi: no cycle through SCC member")
 }
 
 // pathWord returns the label word of a shortest path from any of the
@@ -620,13 +618,13 @@ func limitOfPrefixClosedUnchecked(a *nfa.NFA) *Buchi {
 	n := e.NumStates()
 	ce := e.Compiled()
 	g := ce.Graph()
-	rev := g.Reverse()
+	rev := graph.Reverse(n, g.Succ)
 	alive := make([]bool, n)
 	deg := make([]int32, n)
 	var queue []int32
 	for i := 0; i < n; i++ {
 		alive[i] = true
-		deg[i] = int32(len(g.Succ(i)))
+		deg[i] = int32(len(g.Succ(int32(i))))
 		if deg[i] == 0 {
 			queue = append(queue, int32(i))
 		}
@@ -634,7 +632,7 @@ func limitOfPrefixClosedUnchecked(a *nfa.NFA) *Buchi {
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
 		alive[v] = false
-		for _, u := range rev.Succ(int(v)) {
+		for _, u := range rev.Succ(v) {
 			deg[u]--
 			if deg[u] == 0 && alive[u] {
 				queue = append(queue, u)
@@ -698,7 +696,7 @@ func Limit(a *nfa.NFA) *Buchi {
 // complementation of c. On failure it returns an accepted
 // counterexample lasso in L_ω(a) \ L_ω(c).
 func Included(a, c *Buchi) (bool, word.Lasso, error) {
-	comp, err := c.Complement()
+	comp, err := c.Complement(nil)
 	if err != nil {
 		return false, word.Lasso{}, fmt.Errorf("inclusion check: %w", err)
 	}

@@ -258,7 +258,7 @@ func TestDropAcceptance(t *testing.T) {
 func TestComplementSmall(t *testing.T) {
 	ab := alphabet.FromNames("a", "b")
 	inf := infManyA(ab)
-	comp, err := inf.Complement()
+	comp, err := inf.Complement(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestComplementSmall(t *testing.T) {
 func TestComplementEmptyAndUniversal(t *testing.T) {
 	ab := alphabet.FromNames("a", "b")
 	empty := New(ab)
-	comp, err := empty.Complement()
+	comp, err := empty.Complement(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestComplementEmptyAndUniversal(t *testing.T) {
 		}
 	}
 	u := UniversalAutomaton(ab)
-	compU, err := u.Complement()
+	compU, err := u.Complement(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestQuickComplementPartition(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + rng.Intn(4)
 		b := randomBuchi(rng, ab, n)
-		comp, err := b.Complement()
+		comp, err := b.Complement(nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

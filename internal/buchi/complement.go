@@ -1,10 +1,12 @@
 package buchi
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"relive/internal/alphabet"
+	"relive/internal/interrupt"
 )
 
 // maxComplementStates bounds the state space of the rank-based
@@ -24,7 +26,11 @@ const maxComplementStates = 2_000_000
 // rank; the O-set (breakpoint construction) checks this by tracking the
 // even-ranked states until the set empties, which must happen infinitely
 // often.
-func (b *Buchi) Complement() (*Buchi, error) {
+//
+// A non-nil ctx is polled once per successor configuration, so even a
+// single configuration's exponential successor enumeration stops at a
+// deadline; the context's error is returned. A nil ctx never cancels.
+func (b *Buchi) Complement(ctx context.Context) (*Buchi, error) {
 	n := b.NumStates()
 	numAcc := 0
 	for _, acc := range b.accepting {
@@ -80,6 +86,7 @@ func (b *Buchi) Complement() (*Buchi, error) {
 	out.SetInitial(intern(initRanks, make([]bool, n)))
 
 	syms := b.ab.Symbols()
+	var tick interrupt.Tick
 	for qi := 0; qi < len(queue); qi++ {
 		if out.NumStates() > maxComplementStates {
 			return nil, fmt.Errorf("buchi: complementation exceeded %d states (source has %d states)",
@@ -95,9 +102,16 @@ func (b *Buchi) Complement() (*Buchi, error) {
 			}
 		}
 		for _, sym := range syms {
-			b.rankSuccessors(ranks, oset, sym, func(full []int, nextO []bool) {
+			err := b.rankSuccessors(ranks, oset, sym, func(full []int, nextO []bool) error {
+				if err := tick.Poll(ctx); err != nil {
+					return err
+				}
 				out.AddTransition(from, sym, intern(full, nextO))
+				return nil
 			})
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -106,13 +120,14 @@ func (b *Buchi) Complement() (*Buchi, error) {
 // rankSuccessors enumerates the legal successor configurations of the
 // level ranking `ranks` (-1 for ⊥) with breakpoint set `oset` on sym,
 // calling visit once per successor in a canonical order (sorted domain,
-// rankings in enumerateRankings order). The slices handed to visit are
-// reused between calls; visit must copy what it retains. Both the eager
+// rankings in enumerateRankings order) until visit returns an error,
+// which it returns. The slices handed to visit are reused between
+// calls; visit must copy what it retains. Both the eager
 // Complement construction above and the lazy inclusion kernel
 // (rankinclusion.go) enumerate through this helper, so the transition
 // structure they see — and therefore the verdicts and witnesses
 // downstream — is identical.
-func (b *Buchi) rankSuccessors(ranks []int, oset []bool, sym alphabet.Symbol, visit func(full []int, nextO []bool)) {
+func (b *Buchi) rankSuccessors(ranks []int, oset []bool, sym alphabet.Symbol, visit func(full []int, nextO []bool) error) error {
 	n := b.NumStates()
 	oEmpty := true
 	for _, in := range oset {
@@ -156,7 +171,7 @@ func (b *Buchi) rankSuccessors(ranks []int, oset []bool, sym alphabet.Symbol, vi
 	}
 	full := make([]int, n)
 	nextO := make([]bool, n)
-	b.enumerateRankings(domain, caps, func(g []int) {
+	return b.enumerateRankings(domain, caps, func(g []int) error {
 		for i := 0; i < n; i++ {
 			full[i] = -1
 			nextO[i] = false
@@ -167,20 +182,20 @@ func (b *Buchi) rankSuccessors(ranks []int, oset []bool, sym alphabet.Symbol, vi
 				nextO[t] = true
 			}
 		}
-		visit(full, nextO)
+		return visit(full, nextO)
 	})
 }
 
 // enumerateRankings calls visit for every assignment g of ranks to the
 // domain states with 0 ≤ g[t] ≤ caps[t] and g[t] even for accepting
-// states. g is reused between calls; visit must not retain it.
-func (b *Buchi) enumerateRankings(domain []int, caps []int, visit func(g []int)) {
+// states, stopping at (and returning) the first error visit returns.
+// g is reused between calls; visit must not retain it.
+func (b *Buchi) enumerateRankings(domain []int, caps []int, visit func(g []int) error) error {
 	g := make([]int, b.NumStates())
-	var rec func(i int)
-	rec = func(i int) {
+	var rec func(i int) error
+	rec = func(i int) error {
 		if i == len(domain) {
-			visit(g)
-			return
+			return visit(g)
 		}
 		t := domain[i]
 		step := 1
@@ -189,10 +204,13 @@ func (b *Buchi) enumerateRankings(domain []int, caps []int, visit func(g []int))
 		}
 		for r := 0; r <= caps[t]; r += step {
 			g[t] = r
-			rec(i + 1)
+			if err := rec(i + 1); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	rec(0)
+	return rec(0)
 }
 
 // UniversalAutomaton returns a Büchi automaton accepting Σ^ω.

@@ -1,6 +1,7 @@
 package buchi
 
 import (
+	"context"
 	"fmt"
 )
 
@@ -86,10 +87,11 @@ func (b *Buchi) ComplementDeterministic() (*Buchi, error) {
 }
 
 // ComplementAuto complements with the cheapest sound construction:
-// two-copy for deterministic automata, rank-based otherwise.
-func (b *Buchi) ComplementAuto() (*Buchi, error) {
+// two-copy for deterministic automata, rank-based otherwise. ctx is
+// passed to Complement.
+func (b *Buchi) ComplementAuto(ctx context.Context) (*Buchi, error) {
 	if b.IsDeterministic() {
 		return b.ComplementDeterministic()
 	}
-	return b.Complement()
+	return b.Complement(ctx)
 }

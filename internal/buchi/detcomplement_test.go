@@ -53,7 +53,7 @@ func TestComplementDeterministicAgainstRankBased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := b.Complement()
+	c2, err := b.Complement(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestComplementDeterministicPartialRuns(t *testing.T) {
 func TestComplementAuto(t *testing.T) {
 	ab := alphabet.FromNames("a", "b")
 	det := detInfA(ab)
-	c, err := det.ComplementAuto()
+	c, err := det.ComplementAuto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestComplementAuto(t *testing.T) {
 	nd := infManyA(ab)
 	sa, _ := ab.Lookup("a")
 	nd.AddTransition(0, sa, 0)
-	cnd, err := nd.ComplementAuto()
+	cnd, err := nd.ComplementAuto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

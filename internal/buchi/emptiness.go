@@ -4,278 +4,221 @@ import (
 	"context"
 
 	"relive/internal/alphabet"
-	"relive/internal/interrupt"
+	"relive/internal/graph"
 	"relive/internal/word"
 )
 
 // This file implements on-the-fly emptiness of the intersection
-// L_ω(a) ∩ L_ω(c): the two-track product is explored lazily while an
-// iterative Tarjan SCC search runs on top of it, stopping at the first
-// nontrivial strongly connected component that contains an accepting
-// product state. Call sites that previously materialized
+// L_ω(a) ∩ L_ω(c): the two-track product is explored lazily while
+// graph.Search runs Tarjan's SCC algorithm on top of it, stopping at the
+// first nontrivial strongly connected component that contains an
+// accepting product state. Call sites that previously materialized
 // Intersect(a, c) solely to ask IsEmpty (the decision procedures'
 // dominant pattern) avoid building — and then reducing — product states
-// the search never visits, and stop early on non-empty products.
+// the search never visits, and stop early on non-empty products. The
+// right operand is either a Büchi automaton or the lazy rank-based
+// complement of one (rankinclusion.go), so inclusion runs on the same
+// product and search.
 //
 // Witness extraction reuses the exploration: when the accepting SCC
 // pops, all of its members are fully expanded, so the lasso prefix is
-// the DFS parent chain of an accepting member and the cycle is a BFS
+// the DFS tree path to an accepting member and the cycle is a BFS
 // inside the component.
 
 // pkey identifies a product state: a pair of operand states plus the
 // track bit of the standard two-track Büchi intersection. In "plain"
-// mode (either operand all-accepting) the track stays 0.
+// mode (acceptance = both accepting) the track stays 0.
 type pkey struct {
 	x, y  int32
 	track uint8
 }
 
-// pedge is one expanded product transition.
-type pedge struct {
-	to  int32
-	sym alphabet.Symbol
+// operand is the right-hand side of the lazy product.
+type operand interface {
+	// initial returns the states the product starts from.
+	initial() []int32
+	accepting(y int32) bool
+	// successors returns the successors of y on sym, shared.
+	successors(y int32, sym alphabet.Symbol) ([]int32, error)
 }
 
-// explorer is the lazy product automaton: states are interned on first
-// visit and their outgoing edges computed once from the operands'
-// compiled (CSR) forms.
-type explorer struct {
-	a, c         *Buchi
-	ainit, cinit []State
-	ca, cc       *compiled
-	syms         int
-	plain        bool // acceptance = both accepting; no track flipping
+// automatonOperand is a Büchi automaton as a right operand, started
+// from init instead of its own initial states.
+type automatonOperand struct {
+	b    *Buchi
+	c    *compiled
+	init []State
+}
+
+func (o *automatonOperand) initial() []int32 {
+	out := make([]int32, len(o.init))
+	for i, s := range o.init {
+		out[i] = int32(s)
+	}
+	return out
+}
+
+func (o *automatonOperand) accepting(y int32) bool { return o.b.accepting[y] }
+
+func (o *automatonOperand) successors(y int32, sym alphabet.Symbol) ([]int32, error) {
+	return o.c.row(State(y), sym), nil
+}
+
+// product is the lazy product automaton of a with a right operand:
+// states are interned on first visit and their outgoing edges computed
+// once, from a's compiled (CSR) form and the operand's successors.
+type product struct {
+	a     *Buchi
+	ca    *compiled
+	right operand
+	syms  int
+	plain bool
 
 	index  map[pkey]int32
 	states []pkey
 	acc    []bool // product-state acceptance
-	edges  [][]pedge
-	parent []int32 // DFS tree parent, -1 for roots
-	psym   []alphabet.Symbol
+	// Expanded edges live in two flat arenas, in expansion order: the
+	// successors of v, in symbol order, are dst[lo[v]:hi[v]], labelled
+	// sym[lo[v]:hi[v]]. One arena instead of a slice per state keeps
+	// the allocations per expansion amortized O(1).
+	dst    []int32
+	sym    []alphabet.Symbol
+	lo, hi []int32
 }
 
-func newExplorer(a, c *Buchi, ainit, cinit []State) *explorer {
-	return &explorer{
-		a: a, c: c,
-		ainit: ainit, cinit: cinit,
-		ca: a.compiled(), cc: c.compiled(),
+func newProduct(a *Buchi, right operand, plain bool) *product {
+	return &product{
+		a: a, ca: a.compiled(), right: right,
 		syms:  a.ab.Size(),
-		plain: a.allAccepting() || c.allAccepting(),
+		plain: plain,
 		index: make(map[pkey]int32),
 	}
 }
 
-func (e *explorer) intern(k pkey) int32 {
-	if id, ok := e.index[k]; ok {
+func (p *product) intern(k pkey) int32 {
+	if id, ok := p.index[k]; ok {
 		return id
 	}
-	id := int32(len(e.states))
-	e.index[k] = id
-	e.states = append(e.states, k)
-	if e.plain {
-		e.acc = append(e.acc, e.a.accepting[k.x] && e.c.accepting[k.y])
+	id := int32(len(p.states))
+	p.index[k] = id
+	p.states = append(p.states, k)
+	if p.plain {
+		p.acc = append(p.acc, p.a.accepting[k.x] && p.right.accepting(k.y))
 	} else {
-		e.acc = append(e.acc, k.track == 1 && e.c.accepting[k.y])
+		p.acc = append(p.acc, k.track == 1 && p.right.accepting(k.y))
 	}
-	e.edges = append(e.edges, nil)
-	e.parent = append(e.parent, -1)
-	e.psym = append(e.psym, alphabet.Epsilon)
+	p.lo = append(p.lo, 0)
+	p.hi = append(p.hi, 0)
 	return id
 }
 
-// expand computes (once) the outgoing edges of product state id.
-func (e *explorer) expand(id int32) []pedge {
-	if e.edges[id] != nil {
-		return e.edges[id]
-	}
-	k := e.states[id]
-	track := k.track
-	if !e.plain {
-		if track == 0 && e.a.accepting[k.x] {
-			track = 1
-		} else if track == 1 && e.c.accepting[k.y] {
-			track = 0
+// roots interns the product's initial states: ainit × right.initial().
+func (p *product) roots(ainit []State) []int32 {
+	ys := p.right.initial()
+	var out []int32
+	for _, x := range ainit {
+		for _, y := range ys {
+			out = append(out, p.intern(pkey{int32(x), y, 0}))
 		}
 	}
-	out := []pedge{}
-	for sym := 1; sym <= e.syms; sym++ {
-		xs := e.ca.row(State(k.x), alphabet.Symbol(sym))
-		if len(xs) == 0 {
-			continue
-		}
-		ys := e.cc.row(State(k.y), alphabet.Symbol(sym))
-		for _, x := range xs {
-			for _, y := range ys {
-				to := e.intern(pkey{x, y, track})
-				out = append(out, pedge{to: to, sym: alphabet.Symbol(sym)})
-			}
-		}
-	}
-	e.edges[id] = out
 	return out
 }
 
-// search runs Tarjan over the lazily expanded product, returning the
-// members of the first nontrivial SCC containing an accepting state, or
-// nil when the intersection is empty. Exploration stops as soon as the
-// component is found, or — with a non-nil ctx — as soon as the context
-// is cancelled, which is the cooperative cancellation checkpoint of the
-// emptiness loop.
-func (e *explorer) search(ctx context.Context) ([]int32, error) {
-	const unvisited = -1
-	var (
-		index, low []int32
-		onStack    []bool
-		stack      []int32
-		counter    int32
-		tick       interrupt.Tick
-	)
-	// Grow the per-state Tarjan arrays in step with interning.
-	ensure := func(id int32) {
-		for int32(len(index)) <= id {
-			index = append(index, unvisited)
-			low = append(low, 0)
-			onStack = append(onStack, false)
+// expand computes the outgoing edges of product state id.
+func (p *product) expand(id int32) ([]int32, error) {
+	k := p.states[id]
+	track := k.track
+	if !p.plain {
+		if track == 0 && p.a.accepting[k.x] {
+			track = 1
+		} else if track == 1 && p.right.accepting(k.y) {
+			track = 0
 		}
 	}
-
-	type frame struct {
-		v    int32
-		next int32 // -1: not yet numbered
-	}
-	var roots []int32
-	for _, x := range e.ainit {
-		for _, y := range e.cinit {
-			roots = append(roots, e.intern(pkey{int32(x), int32(y), 0}))
-		}
-	}
-	for _, root := range roots {
-		ensure(root)
-		if index[root] != unvisited {
+	lo := int32(len(p.dst))
+	for sym := alphabet.Symbol(1); int(sym) <= p.syms; sym++ {
+		xs := p.ca.row(State(k.x), sym)
+		if len(xs) == 0 {
 			continue
 		}
-		callStack := []frame{{v: root, next: -1}}
-		for len(callStack) > 0 {
-			if err := tick.Poll(ctx); err != nil {
-				return nil, err
-			}
-			f := &callStack[len(callStack)-1]
-			if f.next < 0 {
-				ensure(f.v)
-				index[f.v] = counter
-				low[f.v] = counter
-				counter++
-				stack = append(stack, f.v)
-				onStack[f.v] = true
-				f.next = 0
-			}
-			succ := e.expand(f.v)
-			advanced := false
-			for int(f.next) < len(succ) {
-				edge := succ[f.next]
-				f.next++
-				w := edge.to
-				ensure(w)
-				if index[w] == unvisited {
-					e.parent[w] = f.v
-					e.psym[w] = edge.sym
-					callStack = append(callStack, frame{v: w, next: -1})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[f.v] == index[f.v] {
-				var comp []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == f.v {
-						break
-					}
-				}
-				if acceptingComponent(e.edges, e.acc, comp) {
-					return comp, nil
-				}
-			}
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				p := &callStack[len(callStack)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
+		ys, err := p.right.successors(k.y, sym)
+		if err != nil {
+			return nil, err
+		}
+		for _, x := range xs {
+			for _, y := range ys {
+				p.dst = append(p.dst, p.intern(pkey{x, y, track}))
+				p.sym = append(p.sym, sym)
 			}
 		}
 	}
-	return nil, nil
+	hi := int32(len(p.dst))
+	p.lo[id], p.hi[id] = lo, hi
+	// A later append may move the arena; the slice handed out keeps
+	// pointing at this expansion's (unchanged) edges.
+	return p.dst[lo:hi:hi], nil
 }
 
-// acceptingComponent reports whether comp is nontrivial (carries a
-// cycle) and contains an accepting product state. Shared with the lazy
-// rank-based product of rankinclusion.go.
-func acceptingComponent(edges [][]pedge, acc []bool, comp []int32) bool {
-	hasAcc := false
-	for _, v := range comp {
-		if acc[v] {
-			hasAcc = true
-			break
+// successorsOf returns the successors of an expanded state v.
+func (p *product) successorsOf(v int32) []int32 { return p.dst[p.lo[v]:p.hi[v]] }
+
+// labelsOf returns the symbols of v's edges, parallel to successorsOf.
+func (p *product) labelsOf(v int32) []alphabet.Symbol { return p.sym[p.lo[v]:p.hi[v]] }
+
+// lasso searches the product from ainit × right.initial() and returns an
+// accepting lasso through the first nontrivial SCC that contains an
+// accepting state, or ok=false when there is none. A non-nil ctx is
+// polled inside the search; its error aborts the exploration.
+func (p *product) lasso(ctx context.Context, ainit []State) (word.Lasso, bool, error) {
+	var found []int32
+	tree, err := graph.Search(ctx, p.roots(ainit), p.expand, func(comp []int32) bool {
+		if !graph.IsTrivialSCC(comp, p.successorsOf) {
+			for _, v := range comp {
+				if p.acc[v] {
+					found = append([]int32(nil), comp...)
+					return true
+				}
+			}
 		}
-	}
-	if !hasAcc {
 		return false
+	})
+	if err != nil || found == nil {
+		return word.Lasso{}, false, err
 	}
-	if len(comp) > 1 {
-		return true
-	}
-	v := comp[0]
-	for _, edge := range edges[v] {
-		if edge.to == v {
-			return true
-		}
-	}
-	return false
+	return p.witness(tree, found), true, nil
 }
 
-// lassoWitness builds an accepting lasso from a found component: the
-// DFS parent chain of an accepting member is the prefix, a BFS inside
+// witness builds an accepting lasso from a found component: the DFS
+// tree path to its first accepting member is the prefix, a BFS inside
 // the (fully expanded, strongly connected) component yields the cycle.
-// Shared with the lazy rank-based product of rankinclusion.go.
-func lassoWitness(edges [][]pedge, acc []bool, parent []int32, psym []alphabet.Symbol, comp []int32) word.Lasso {
+func (p *product) witness(tree graph.Tree, comp []int32) word.Lasso {
 	target := comp[0]
 	for _, v := range comp {
-		if acc[v] {
+		if p.acc[v] {
 			target = v
 			break
 		}
 	}
 	var prefix word.Word
-	for v := target; parent[v] != -1; v = parent[v] {
-		prefix = append(prefix, psym[v])
+	for v := target; tree.Parent[v] != -1; v = tree.Parent[v] {
+		prefix = append(prefix, p.labelsOf(tree.Parent[v])[tree.Edge[v]])
 	}
 	for l, r := 0, len(prefix)-1; l < r; l, r = l+1, r-1 {
 		prefix[l], prefix[r] = prefix[r], prefix[l]
 	}
-	return word.MustLasso(prefix, sccCycleWord(edges, target, comp))
+	return word.MustLasso(prefix, p.cycleWord(target, comp))
 }
 
-// sccCycleWord returns the label word of a shortest nonempty cycle
+// cycleWord returns the label word of a shortest nonempty cycle
 // through target inside its strongly connected component.
-func sccCycleWord(edges [][]pedge, target int32, comp []int32) word.Word {
+func (p *product) cycleWord(target int32, comp []int32) word.Word {
 	inComp := make(map[int32]bool, len(comp))
 	for _, v := range comp {
 		inComp[v] = true
 	}
-	for _, edge := range edges[target] {
-		if edge.to == target {
-			return word.Word{edge.sym}
+	for i, w := range p.successorsOf(target) {
+		if w == target {
+			return word.Word{p.labelsOf(target)[i]}
 		}
 	}
 	type centry struct {
@@ -285,28 +228,29 @@ func sccCycleWord(edges [][]pedge, target int32, comp []int32) word.Word {
 	}
 	var q []centry
 	seen := make(map[int32]bool, len(comp))
-	for _, edge := range edges[target] {
-		if inComp[edge.to] && !seen[edge.to] {
-			seen[edge.to] = true
-			q = append(q, centry{v: edge.to, parent: -1, sym: edge.sym})
+	for i, w := range p.successorsOf(target) {
+		if inComp[w] && !seen[w] {
+			seen[w] = true
+			q = append(q, centry{v: w, parent: -1, sym: p.labelsOf(target)[i]})
 		}
 	}
 	for qi := 0; qi < len(q); qi++ {
 		cur := q[qi]
-		for _, edge := range edges[cur.v] {
-			if edge.to == target {
-				w := word.Word{edge.sym}
+		for i, w := range p.successorsOf(cur.v) {
+			sym := p.labelsOf(cur.v)[i]
+			if w == target {
+				cycle := word.Word{sym}
 				for j := int32(qi); j != -1; j = q[j].parent {
-					w = append(w, q[j].sym)
+					cycle = append(cycle, q[j].sym)
 				}
-				for l, r := 0, len(w)-1; l < r; l, r = l+1, r-1 {
-					w[l], w[r] = w[r], w[l]
+				for l, r := 0, len(cycle)-1; l < r; l, r = l+1, r-1 {
+					cycle[l], cycle[r] = cycle[r], cycle[l]
 				}
-				return w
+				return cycle
 			}
-			if inComp[edge.to] && !seen[edge.to] {
-				seen[edge.to] = true
-				q = append(q, centry{v: edge.to, parent: int32(qi), sym: edge.sym})
+			if inComp[w] && !seen[w] {
+				seen[w] = true
+				q = append(q, centry{v: w, parent: int32(qi), sym: sym})
 			}
 		}
 	}
@@ -330,15 +274,9 @@ func intersectLasso(ctx context.Context, a, c *Buchi, ainit, cinit []State) (wor
 	if len(ainit) == 0 || len(cinit) == 0 || a.NumStates() == 0 || c.NumStates() == 0 {
 		return word.Lasso{}, 0, false, nil
 	}
-	e := newExplorer(a, c, ainit, cinit)
-	comp, err := e.search(ctx)
-	if err != nil {
-		return word.Lasso{}, len(e.states), false, err
-	}
-	if comp == nil {
-		return word.Lasso{}, len(e.states), false, nil
-	}
-	return lassoWitness(e.edges, e.acc, e.parent, e.psym, comp), len(e.states), true, nil
+	p := newProduct(a, &automatonOperand{b: c, c: c.compiled(), init: cinit}, a.allAccepting() || c.allAccepting())
+	l, ok, err := p.lasso(ctx, ainit)
+	return l, len(p.states), ok, err
 }
 
 // IntersectLasso returns an ultimately periodic word accepted by both a

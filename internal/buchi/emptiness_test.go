@@ -58,7 +58,8 @@ func TestQuickIntersectEmptyFromMatchesRestart(t *testing.T) {
 }
 
 // TestIntersectEmptyPlainMode exercises the all-accepting ("plain
-// product") mode of the explorer against the materialized plain product.
+// product") mode of the lazy product against the materialized plain
+// product.
 func TestIntersectEmptyPlainMode(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		a := seedBuchi(seed).DropAcceptance() // every state accepting

@@ -20,10 +20,10 @@ import (
 // states — the blowup measure for the PSPACE-dominated pipeline).
 //
 // A non-nil Ctx makes the construction and emptiness loops of the
-// ...Ctx methods cooperatively cancellable: they poll the context and
-// return its error, so per-request deadlines and client disconnects
-// actually stop the PSPACE work. A nil Ctx never cancels; the methods
-// without a Ctx suffix ignore the field entirely.
+// ...Ctx methods and of the complementations cooperatively cancellable:
+// they poll the context and return its error, so per-request deadlines
+// and client disconnects actually stop the PSPACE work. A nil Ctx never
+// cancels; the other methods ignore the field entirely.
 type Ops struct {
 	Rec obs.Recorder
 	Ctx context.Context
@@ -97,15 +97,16 @@ func (o Ops) Reduce(b *Buchi) *Buchi {
 	return out
 }
 
-// Complement is (*Buchi).Complement (rank-based) with instrumentation.
+// Complement is (*Buchi).Complement (rank-based) with instrumentation
+// and cooperative cancellation from o.Ctx.
 func (o Ops) Complement(b *Buchi) (*Buchi, error) {
 	if o.Rec == nil {
-		return b.Complement()
+		return b.Complement(o.Ctx)
 	}
 	sp := obs.StartSpan(o.Rec, "buchi.Complement").
 		Tag("algorithm", "rank-based").
 		Int("in_states", int64(b.NumStates()))
-	out, err := b.Complement()
+	out, err := b.Complement(o.Ctx)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -118,7 +119,7 @@ func (o Ops) Complement(b *Buchi) (*Buchi, error) {
 // deterministic construction when it applies, rank-based otherwise.
 func (o Ops) ComplementAuto(b *Buchi) (*Buchi, error) {
 	if o.Rec == nil {
-		return b.ComplementAuto()
+		return b.ComplementAuto(o.Ctx)
 	}
 	algorithm := "rank-based"
 	if b.IsDeterministic() {
@@ -127,7 +128,7 @@ func (o Ops) ComplementAuto(b *Buchi) (*Buchi, error) {
 	sp := obs.StartSpan(o.Rec, "buchi.ComplementAuto").
 		Tag("algorithm", algorithm).
 		Int("in_states", int64(b.NumStates()))
-	out, err := b.ComplementAuto()
+	out, err := b.ComplementAuto(o.Ctx)
 	if err != nil {
 		sp.End()
 		return nil, err

@@ -3,8 +3,6 @@ package buchi
 import (
 	"context"
 
-	"relive/internal/alphabet"
-	"relive/internal/graph"
 	"relive/internal/interrupt"
 	"relive/internal/nfa"
 )
@@ -33,108 +31,30 @@ import (
 func PreProductNFACtx(ctx context.Context, a, c *Buchi) (*nfa.NFA, int, error) {
 	// Mirror IntersectCtx: plain product when either operand accepts
 	// with every state (the pipeline's left operand, a lim(L) automaton,
-	// always does), the two-track product otherwise.
-	plain := a.allAccepting() || c.allAccepting()
-	ca, cc := a.compiled(), c.compiled()
-
-	index := map[pkey]int32{}
-	var states []pkey
-	var acc []bool
-	intern := func(k pkey) int32 {
-		if id, ok := index[k]; ok {
-			return id
-		}
-		id := int32(len(states))
-		index[k] = id
-		states = append(states, k)
-		if plain {
-			acc = append(acc, a.accepting[k.x] && c.accepting[k.y])
-		} else {
-			acc = append(acc, k.track == 1 && c.accepting[k.y])
-		}
-		return id
-	}
-
-	var inits []int32
-	for _, x := range a.initial {
-		for _, y := range c.initial {
-			inits = append(inits, intern(pkey{int32(x), int32(y), 0}))
-		}
-	}
-
-	syms := a.ab.Size()
-	edges := [][]pedge{}
+	// always does), the two-track product otherwise. Expanding the lazy
+	// product in id order is IntersectCtx's BFS.
+	p := newProduct(a, &automatonOperand{b: c, c: c.compiled(), init: c.initial}, a.allAccepting() || c.allAccepting())
+	inits := p.roots(a.initial)
 	var tick interrupt.Tick
-	for qi := 0; qi < len(states); qi++ {
+	for id := int32(0); int(id) < len(p.states); id++ {
 		if err := tick.Poll(ctx); err != nil {
-			return nil, len(states), err
+			return nil, len(p.states), err
 		}
-		k := states[qi]
-		track := k.track
-		if !plain {
-			if track == 0 && a.accepting[k.x] {
-				track = 1
-			} else if track == 1 && c.accepting[k.y] {
-				track = 0
-			}
+		if _, err := p.expand(id); err != nil {
+			return nil, len(p.states), err
 		}
-		var row []pedge
-		for sym := 1; sym <= syms; sym++ {
-			xs := ca.row(State(k.x), alphabet.Symbol(sym))
-			if len(xs) == 0 {
-				continue
-			}
-			ys := cc.row(State(k.y), alphabet.Symbol(sym))
-			for _, x := range xs {
-				for _, y := range ys {
-					row = append(row, pedge{to: intern(pkey{x, y, track}), sym: alphabet.Symbol(sym)})
-				}
-			}
-		}
-		edges = append(edges, row)
 	}
 
-	n := len(states)
-	explored := n
+	n := len(p.states)
 	out := nfa.New(a.ab)
 	if n == 0 {
-		return out, explored, nil
+		return out, n, nil
 	}
 
-	// The reduction of Reduce, on the flat edges: keep states that can
-	// reach an accepting cycle. (Reachability from the initial states
-	// holds for every product state by construction.)
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + int32(len(edges[v]))
-	}
-	dst := make([]int32, off[n])
-	for v := 0; v < n; v++ {
-		at := off[v]
-		for i, e := range edges[v] {
-			dst[at+int32(i)] = e.to
-		}
-	}
-	g := graph.CSR{Off: off, Dst: dst}
-	onAcceptingCycle := make([]bool, n)
-	for _, comp := range graph.SCCsCSR(g) {
-		if graph.IsTrivialSCCCSR(comp, g) {
-			continue
-		}
-		hasAcc := false
-		for _, v := range comp {
-			if acc[v] {
-				hasAcc = true
-				break
-			}
-		}
-		if hasAcc {
-			for _, v := range comp {
-				onAcceptingCycle[v] = true
-			}
-		}
-	}
-	live := graph.CoReachableCSR(g, onAcceptingCycle)
+	// The reduction of Reduce: keep states that can reach an accepting
+	// cycle. (Reachability from the initial states holds for every
+	// product state by construction.)
+	live := liveStates(n, p.successorsOf, p.acc)
 
 	// Emit survivors in ascending product order (Reduce's numbering),
 	// every state accepting (MarkAllAccepting): the finite-path language
@@ -152,9 +72,10 @@ func PreProductNFACtx(ctx context.Context, a, c *Buchi) (*nfa.NFA, int, error) {
 		if keep[i] < 0 {
 			continue
 		}
-		for _, e := range edges[i] {
-			if keep[e.to] >= 0 {
-				out.AddTransition(keep[i], e.sym, keep[e.to])
+		labels := p.labelsOf(int32(i))
+		for j, w := range p.successorsOf(int32(i)) {
+			if keep[w] >= 0 {
+				out.AddTransition(keep[i], labels[j], keep[w])
 			}
 		}
 	}
@@ -163,5 +84,5 @@ func PreProductNFACtx(ctx context.Context, a, c *Buchi) (*nfa.NFA, int, error) {
 			out.SetInitial(keep[id])
 		}
 	}
-	return out, explored, nil
+	return out, n, nil
 }

@@ -14,11 +14,11 @@ import (
 // complement (Complement) and then intersecting, the complement is a
 // successor-function view — configurations interned on first visit,
 // per-(configuration, symbol) successor lists memoized — and the
-// product emptiness search pulls transitions on demand. The search is
-// the same lazily-expanded Tarjan with accepting-SCC early exit as
-// emptiness.go, so when L_ω(a) ⊈ L_ω(c) the exploration stops at the
-// first counterexample cycle having touched only the complement states
-// the search actually reached; the eager route pays for the whole
+// product emptiness search pulls transitions on demand. The view is the
+// right operand of emptiness.go's lazy product, so when
+// L_ω(a) ⊈ L_ω(c) the exploration stops at the first counterexample
+// cycle having touched only the complement states the search actually
+// reached; the eager route pays for the whole
 // 2^O(n log n) complement up front either way. Both routes enumerate
 // successor rankings through the shared rankSuccessors helper, so the
 // explored structure — and the verdicts and witnesses — match.
@@ -30,8 +30,13 @@ type rankKey struct {
 	oset  string // 1 when in O
 }
 
-// rankView is the lazy Kupferman–Vardi complement of a Büchi automaton.
+// rankView is the lazy Kupferman–Vardi complement of a Büchi automaton,
+// the right operand of the inclusion product. A non-nil ctx is polled
+// while a configuration's successors are enumerated, which a single
+// expansion can take exponentially long to do.
 type rankView struct {
+	ctx     context.Context
+	tick    interrupt.Tick
 	b       *Buchi
 	n       int
 	numSyms int
@@ -42,8 +47,9 @@ type rankView struct {
 	succs   [][]int32
 }
 
-func newRankView(b *Buchi) *rankView {
+func newRankView(ctx context.Context, b *Buchi) *rankView {
 	return &rankView{
+		ctx:     ctx,
 		b:       b,
 		n:       b.NumStates(),
 		numSyms: b.ab.Size(),
@@ -81,10 +87,10 @@ func (v *rankView) intern(ranks []int, oset []bool) int32 {
 	return id
 }
 
-// initialCfg interns and returns the complement's initial
-// configuration: the source's initial states at the maximal (even)
-// rank 2(n−|F|), empty O-set.
-func (v *rankView) initialCfg() int32 {
+// initial interns and returns the complement's initial configuration:
+// the source's initial states at the maximal (even) rank 2(n−|F|),
+// empty O-set.
+func (v *rankView) initial() []int32 {
 	numAcc := 0
 	for _, acc := range v.b.accepting {
 		if acc {
@@ -99,8 +105,12 @@ func (v *rankView) initialCfg() int32 {
 	for _, s := range v.b.initial {
 		ranks[s] = maxRank
 	}
-	return v.intern(ranks, make([]bool, v.n))
+	return []int32{v.intern(ranks, make([]bool, v.n))}
 }
+
+// accepting reports whether configuration id accepts: its O-set is
+// empty.
+func (v *rankView) accepting(id int32) bool { return v.acc[id] }
 
 // successors returns the memoized successor configurations of id on
 // sym, in the canonical rankSuccessors order, erroring when the view
@@ -111,195 +121,22 @@ func (v *rankView) successors(id int32, sym alphabet.Symbol) ([]int32, error) {
 		return v.succs[k], nil
 	}
 	out := make([]int32, 0, 4)
-	v.b.rankSuccessors(v.ranks[id], v.osets[id], sym, func(full []int, nextO []bool) {
+	err := v.b.rankSuccessors(v.ranks[id], v.osets[id], sym, func(full []int, nextO []bool) error {
+		if err := v.tick.Poll(v.ctx); err != nil {
+			return err
+		}
 		out = append(out, v.intern(full, nextO))
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	if len(v.acc) > maxComplementStates {
 		return nil, fmt.Errorf("buchi: lazy complementation exceeded %d states (source has %d states)",
 			maxComplementStates, v.n)
 	}
 	v.succs[k] = out
 	return out, nil
-}
-
-// rankExplorer is emptiness.go's explorer with the right-hand operand
-// replaced by a rankView: the lazily expanded two-track product of a
-// and the lazy complement of c, searched by the same iterative Tarjan.
-type rankExplorer struct {
-	a     *Buchi
-	v     *rankView
-	ca    *compiled
-	syms  int
-	plain bool // a all-accepting: acceptance = both accepting, no track
-
-	index  map[pkey]int32
-	states []pkey
-	acc    []bool
-	edges  [][]pedge
-	parent []int32
-	psym   []alphabet.Symbol
-}
-
-func newRankExplorer(a, c *Buchi) *rankExplorer {
-	return &rankExplorer{
-		a:     a,
-		v:     newRankView(c),
-		ca:    a.compiled(),
-		syms:  a.ab.Size(),
-		plain: a.allAccepting(),
-		index: make(map[pkey]int32),
-	}
-}
-
-func (e *rankExplorer) intern(k pkey) int32 {
-	if id, ok := e.index[k]; ok {
-		return id
-	}
-	id := int32(len(e.states))
-	e.index[k] = id
-	e.states = append(e.states, k)
-	if e.plain {
-		e.acc = append(e.acc, e.a.accepting[k.x] && e.v.acc[k.y])
-	} else {
-		e.acc = append(e.acc, k.track == 1 && e.v.acc[k.y])
-	}
-	e.edges = append(e.edges, nil)
-	e.parent = append(e.parent, -1)
-	e.psym = append(e.psym, alphabet.Epsilon)
-	return id
-}
-
-func (e *rankExplorer) expand(id int32) ([]pedge, error) {
-	if e.edges[id] != nil {
-		return e.edges[id], nil
-	}
-	k := e.states[id]
-	track := k.track
-	if !e.plain {
-		if track == 0 && e.a.accepting[k.x] {
-			track = 1
-		} else if track == 1 && e.v.acc[k.y] {
-			track = 0
-		}
-	}
-	out := []pedge{}
-	for sym := 1; sym <= e.syms; sym++ {
-		xs := e.ca.row(State(k.x), alphabet.Symbol(sym))
-		if len(xs) == 0 {
-			continue
-		}
-		ys, err := e.v.successors(k.y, alphabet.Symbol(sym))
-		if err != nil {
-			return nil, err
-		}
-		for _, x := range xs {
-			for _, y := range ys {
-				to := e.intern(pkey{x, y, track})
-				out = append(out, pedge{to: to, sym: alphabet.Symbol(sym)})
-			}
-		}
-	}
-	e.edges[id] = out
-	return out, nil
-}
-
-// search is explorer.search over the errorable lazy expansion.
-func (e *rankExplorer) search(ctx context.Context) ([]int32, error) {
-	const unvisited = -1
-	var (
-		index, low []int32
-		onStack    []bool
-		stack      []int32
-		counter    int32
-		tick       interrupt.Tick
-	)
-	ensure := func(id int32) {
-		for int32(len(index)) <= id {
-			index = append(index, unvisited)
-			low = append(low, 0)
-			onStack = append(onStack, false)
-		}
-	}
-
-	type frame struct {
-		v    int32
-		next int32
-	}
-	cinit := e.v.initialCfg()
-	var roots []int32
-	for _, x := range e.a.initial {
-		roots = append(roots, e.intern(pkey{int32(x), cinit, 0}))
-	}
-	for _, root := range roots {
-		ensure(root)
-		if index[root] != unvisited {
-			continue
-		}
-		callStack := []frame{{v: root, next: -1}}
-		for len(callStack) > 0 {
-			if err := tick.Poll(ctx); err != nil {
-				return nil, err
-			}
-			f := &callStack[len(callStack)-1]
-			if f.next < 0 {
-				ensure(f.v)
-				index[f.v] = counter
-				low[f.v] = counter
-				counter++
-				stack = append(stack, f.v)
-				onStack[f.v] = true
-				f.next = 0
-			}
-			succ, err := e.expand(f.v)
-			if err != nil {
-				return nil, err
-			}
-			advanced := false
-			for int(f.next) < len(succ) {
-				edge := succ[f.next]
-				f.next++
-				w := edge.to
-				ensure(w)
-				if index[w] == unvisited {
-					e.parent[w] = f.v
-					e.psym[w] = edge.sym
-					callStack = append(callStack, frame{v: w, next: -1})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[f.v] == index[f.v] {
-				var comp []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == f.v {
-						break
-					}
-				}
-				if acceptingComponent(e.edges, e.acc, comp) {
-					return comp, nil
-				}
-			}
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				p := &callStack[len(callStack)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-		}
-	}
-	return nil, nil
 }
 
 // IncludedRankCtx reports whether L_ω(a) ⊆ L_ω(c) by searching the
@@ -311,16 +148,12 @@ func IncludedRankCtx(ctx context.Context, a, c *Buchi) (bool, word.Lasso, error)
 	if a.NumStates() == 0 || len(a.initial) == 0 {
 		return true, word.Lasso{}, nil // L_ω(a) = ∅
 	}
-	e := newRankExplorer(a, c)
-	comp, err := e.search(ctx)
+	l, found, err := newProduct(a, newRankView(ctx, c), a.allAccepting()).lasso(ctx, a.initial)
 	if err != nil {
 		if ctx != nil && ctx.Err() != nil {
 			return false, word.Lasso{}, err
 		}
 		return false, word.Lasso{}, fmt.Errorf("inclusion check: %w", err)
 	}
-	if comp == nil {
-		return true, word.Lasso{}, nil
-	}
-	return false, lassoWitness(e.edges, e.acc, e.parent, e.psym, comp), nil
+	return !found, l, nil
 }

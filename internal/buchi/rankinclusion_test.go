@@ -78,7 +78,7 @@ func TestUniversalKernelAgainstComplementEmptiness(t *testing.T) {
 	ab := genbase.Letters(2)
 	for trial := 0; trial < 100; trial++ {
 		c := randomBuchi(rng, ab, 1+rng.Intn(3))
-		comp, err := c.Complement()
+		comp, err := c.Complement(nil)
 		if err != nil {
 			continue
 		}

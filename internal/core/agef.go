@@ -46,16 +46,16 @@ func ForAllGloballyExistsEventually(sys *ts.System, actions ...string) (AGEFResu
 		targets[a] = true
 	}
 	n := trimmed.NumStates()
-	adj := make([][]int, n)
+	adj := make([][]int32, n)
 	canDo := make([]bool, n) // state has an outgoing target edge
 	for _, e := range trimmed.Edges() {
-		adj[e.From] = append(adj[e.From], int(e.To))
+		adj[e.From] = append(adj[e.From], int32(e.To))
 		if targets[trimmed.Alphabet().Name(e.Sym)] {
 			canDo[e.From] = true
 		}
 	}
-	succ := func(v int) []int { return adj[v] }
-	reach := graph.Reachable(n, []int{int(trimmed.Initial())}, succ)
+	succ := func(v int32) []int32 { return adj[v] }
+	reach, _ := graph.Reachable(nil, n, []int32{int32(trimmed.Initial())}, succ)
 	canReach := graph.CoReachable(n, canDo, succ)
 	for v := 0; v < n; v++ {
 		if reach[v] && !canReach[v] {

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"relive/internal/alphabet"
 	"relive/internal/core"
+	"relive/internal/gen"
 	"relive/internal/hom"
 	"relive/internal/ltl"
+	"relive/internal/rex"
 	"relive/internal/ts"
 )
 
@@ -287,5 +290,51 @@ func TestCtxSharedCellsCoalesce(t *testing.T) {
 	if a.rep.Satisfied != b.rep.Satisfied || a.rep.RelativeLiveness != b.rep.RelativeLiveness ||
 		a.rep.RelativeSafety != b.rep.RelativeSafety {
 		t.Fatalf("concurrent runs disagree: %+v vs %+v", a.rep, b.rep)
+	}
+}
+
+// TestCtxDeadlineInComplement: satisfaction and relative safety of a
+// nondeterministic ω-regex property need the rank-based complement of
+// the property automaton, which runs for many seconds on these inputs;
+// the ¬P cell must hand the deadline down into it.
+func TestCtxDeadlineInComplement(t *testing.T) {
+	cases := []struct {
+		name   string
+		seed   int64
+		states int
+		omega  string
+		check  func(context.Context, *core.PipelineCells) error
+	}{
+		{"satisfaction", 82, 8, "( ( a | b ) * a ( a | b ) c ) ^w", func(ctx context.Context, pc *core.PipelineCells) error {
+			_, err := core.SatisfiesCellsCtx(ctx, nil, pc)
+			return err
+		}},
+		{"relative-safety", 163, 16, "( ( a | b ) * a ( a | b ) ( a | b ) c ) ^w", func(ctx context.Context, pc *core.PipelineCells) error {
+			_, err := core.RelativeSafetyCellsCtx(ctx, nil, pc)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := gen.System(rand.New(rand.NewSource(tc.seed)), gen.Letters(3), tc.states, 0.35)
+			o, err := rex.ParseOmega(sys.Alphabet(), tc.omega)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := o.Buchi()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			err = tc.check(ctx, core.NewPipelineCells(sys, core.FromAutomaton(b)))
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("returned after %v under a 500ms deadline", elapsed)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+		})
 	}
 }

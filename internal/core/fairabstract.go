@@ -150,7 +150,7 @@ func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCel
 		return report, nil
 	}
 
-	notEta, err := eta.NegationAutomatonRec(rec, h.Dest())
+	notEta, err := eta.NegationAutomatonRec(ctx, rec, h.Dest())
 	if err != nil {
 		return nil, fmt.Errorf("fair abstract: %w", err)
 	}

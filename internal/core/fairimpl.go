@@ -191,13 +191,12 @@ func AllStronglyFairRunsSatisfy(sys *ts.System, p Property) (bool, *fairness.Run
 // to — and fairly exhausts — a bottom SCC hits marks infinitely often.
 func (fi *FairImplementation) BottomSCCsContainMarks() bool {
 	sys := fi.System
-	n := sys.NumStates()
-	adj := make([][]int, n)
+	adj := make([][]int32, sys.NumStates())
 	for _, e := range sys.Edges() {
-		adj[e.From] = append(adj[e.From], int(e.To))
+		adj[e.From] = append(adj[e.From], int32(e.To))
 	}
-	succ := func(v int) []int { return adj[v] }
-	for _, comp := range graph.BottomSCCs(n, []int{int(sys.Initial())}, succ) {
+	succ := func(v int32) []int32 { return adj[v] }
+	for _, comp := range graph.BottomSCCs([]int32{int32(sys.Initial())}, succ) {
 		hasMark := false
 		for _, v := range comp {
 			if fi.Marked[ts.State(v)] {

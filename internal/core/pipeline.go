@@ -61,7 +61,7 @@ func (c *propCell) automaton(ctx context.Context, rec obs.Recorder) (*buchi.Buch
 
 func (c *propCell) negation(ctx context.Context, rec obs.Recorder) (*buchi.Buchi, error) {
 	return c.notP.get(ctx, func() (*buchi.Buchi, error) {
-		return c.p.NegationAutomatonRec(rec, c.ab)
+		return c.p.NegationAutomatonRec(ctx, rec, c.ab)
 	})
 }
 

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/alphabet"
@@ -71,7 +72,7 @@ func (p Property) Automaton(ab *alphabet.Alphabet) (*buchi.Buchi, error) {
 
 // NegationAutomaton returns a Büchi automaton for Σ^ω \ P over ab.
 func (p Property) NegationAutomaton(ab *alphabet.Alphabet) (*buchi.Buchi, error) {
-	return p.NegationAutomatonRec(nil, ab)
+	return p.NegationAutomatonRec(nil, nil, ab)
 }
 
 // AutomatonRec is Automaton with the construction reported to rec: one
@@ -100,13 +101,15 @@ func (p Property) AutomatonRec(rec obs.Recorder, ab *alphabet.Alphabet) (*buchi.
 // NegationAutomatonRec is NegationAutomaton with the construction
 // reported to rec: a "¬P" span covering either the syntactic negation
 // translation or the rank-based complement (which appears as a child
-// span with its own blowup figures).
-func (p Property) NegationAutomatonRec(rec obs.Recorder, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
+// span with its own blowup figures). A non-nil ctx is polled inside the
+// complement construction, whose context error is returned; a nil ctx
+// never cancels.
+func (p Property) NegationAutomatonRec(ctx context.Context, rec obs.Recorder, ab *alphabet.Alphabet) (*buchi.Buchi, error) {
 	switch {
 	case p.automaton != nil:
 		sp := obs.StartSpan(rec, "¬P")
 		defer sp.End()
-		c, err := buchi.Ops{Rec: rec}.Complement(p.automaton)
+		c, err := buchi.Ops{Rec: rec, Ctx: ctx}.Complement(p.automaton)
 		if err != nil {
 			return nil, fmt.Errorf("core: complementing property automaton: %w", err)
 		}

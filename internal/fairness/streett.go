@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"relive/internal/buchi"
 	"relive/internal/graph"
@@ -44,9 +45,9 @@ func ExistsFairRun(sys *ts.System, prop *buchi.Buchi, kind Kind) (Run, bool, err
 }
 
 // ExistsFairRunCtx is ExistsFairRun with cooperative cancellation
-// checkpoints in the trim and the product exploration. A nil ctx never
-// cancels; a context error is returned as-is (wrapped), never conflated
-// with the "no fair run" verdict.
+// checkpoints in the trim, the product exploration and the SCC
+// refinement. A nil ctx never cancels; a context error is returned
+// as-is (wrapped), never conflated with the "no fair run" verdict.
 func ExistsFairRunCtx(ctx context.Context, sys *ts.System, prop *buchi.Buchi, kind Kind) (Run, bool, error) {
 	if sys.Initial() < 0 {
 		return Run{}, false, fmt.Errorf("fairness: system has no initial state")
@@ -72,10 +73,22 @@ func ExistsFairRunCtx(ctx context.Context, sys *ts.System, prop *buchi.Buchi, ki
 		return Run{}, false, err
 	}
 	n := len(g.verts)
-	reach := graph.Reachable(n, g.initVerts, g.succ)
-	comp, ok := findFairSCCWithin(n, g.succ, reach, func(comp []int) (bool, []int) {
+	reach, err := graph.Reachable(ctx, n, g.initVerts, g.succ)
+	if err != nil {
+		return Run{}, false, fmt.Errorf("fairness: %w", err)
+	}
+	var roots []int32
+	for v, r := range reach {
+		if r {
+			roots = append(roots, int32(v))
+		}
+	}
+	comp, ok, err := findFairSCCWithin(ctx, g.succ, reach, roots, func(comp []int32) (bool, []int32) {
 		return g.analyzeSCC(comp, kind)
 	})
+	if err != nil {
+		return Run{}, false, fmt.Errorf("fairness: %w", err)
+	}
 	if !ok {
 		return Run{}, false, nil
 	}
@@ -108,8 +121,8 @@ type product struct {
 	prop      *buchi.Buchi
 	edges     []ts.Edge
 	verts     []prodVertex
-	adj       [][]int
-	initVerts []int
+	adj       [][]int32
+	initVerts []int32
 }
 
 type prodVertex struct {
@@ -123,12 +136,12 @@ func buildProduct(ctx context.Context, sys *ts.System, prop *buchi.Buchi) (*prod
 		return g, nil
 	}
 	var tick interrupt.Tick
-	index := map[prodVertex]int{}
-	intern := func(k prodVertex) int {
+	index := map[prodVertex]int32{}
+	intern := func(k prodVertex) int32 {
 		if i, ok := index[k]; ok {
 			return i
 		}
-		i := len(g.verts)
+		i := int32(len(g.verts))
 		g.verts = append(g.verts, k)
 		g.adj = append(g.adj, nil)
 		index[k] = i
@@ -138,9 +151,9 @@ func buildProduct(ctx context.Context, sys *ts.System, prop *buchi.Buchi) (*prod
 	for ei, e := range g.edges {
 		succsByState[e.From] = append(succsByState[e.From], ei)
 	}
-	var queue []int
+	var queue []int32
 	seen := map[prodVertex]bool{}
-	push := func(k prodVertex) int {
+	push := func(k prodVertex) int32 {
 		i := intern(k)
 		if !seen[k] {
 			seen[k] = true
@@ -170,12 +183,12 @@ func buildProduct(ctx context.Context, sys *ts.System, prop *buchi.Buchi) (*prod
 	return g, nil
 }
 
-func (g *product) succ(v int) []int { return g.adj[v] }
+func (g *product) succ(v int32) []int32 { return g.adj[v] }
 
 // analyzeSCC decides whether the component supports a fair accepted
 // run. For a repairable strong-fairness violation it returns the
 // E-vertices to remove before re-decomposing; otherwise nil.
-func (g *product) analyzeSCC(comp []int, kind Kind) (bool, []int) {
+func (g *product) analyzeSCC(comp []int32, kind Kind) (bool, []int32) {
 	hasAccepting := false
 	statesVisited := map[ts.State]bool{}
 	edgesTaken := map[int]bool{}
@@ -192,7 +205,7 @@ func (g *product) analyzeSCC(comp []int, kind Kind) (bool, []int) {
 	}
 	switch kind {
 	case Strong:
-		var removeE []int
+		var removeE []int32
 		for ti, t := range g.edges {
 			if statesVisited[t.From] && !edgesTaken[ti] {
 				// Streett pair for t violated: E_t ∩ C ≠ ∅, F_t ∩ C = ∅.
@@ -225,61 +238,71 @@ func (g *product) analyzeSCC(comp []int, kind Kind) (bool, []int) {
 	return false, nil
 }
 
-// findFairSCCWithin searches the subgraph induced by within for an SCC
-// accepted by analyze, recursing on shrunken components as directed.
-func findFairSCCWithin(n int, succ graph.Succ, within []bool, analyze func([]int) (bool, []int)) ([]int, bool) {
-	restricted := func(v int) []int {
-		if !within[v] {
-			return nil
-		}
-		var out []int
+// findFairSCCWithin searches the subgraph induced by within, from its
+// vertices roots in ascending order, for an SCC accepted by analyze,
+// recursing on shrunken components as directed. A recursion searches
+// only the shrunken component, and ctx is polled throughout.
+func findFairSCCWithin(ctx context.Context, succ graph.Succ, within []bool, roots []int32, analyze func([]int32) (bool, []int32)) ([]int32, bool, error) {
+	restricted := func(v int32) ([]int32, error) {
+		var out []int32
 		for _, w := range succ(v) {
 			if within[w] {
 				out = append(out, w)
 			}
 		}
-		return out
+		return out, nil
 	}
-	comps := graph.SCCs(n, restricted)
-	for _, comp := range comps {
-		if !within[comp[0]] {
-			continue
-		}
-		if graph.IsTrivialSCC(comp, restricted) {
-			continue
+	var (
+		found []int32
+		err   error
+	)
+	_, serr := graph.Search(ctx, roots, restricted, func(comp []int32) bool {
+		// Members are within, so a self-loop in succ is one in the subgraph.
+		if graph.IsTrivialSCC(comp, succ) {
+			return false
 		}
 		ok, removeE := analyze(comp)
 		if ok {
-			return comp, true
+			found = append([]int32(nil), comp...)
+			return true
 		}
 		if len(removeE) == 0 {
-			continue
+			return false
 		}
-		sub := make([]bool, n)
+		sub := make([]bool, len(within))
 		for _, v := range comp {
 			sub[v] = true
 		}
 		for _, v := range removeE {
 			sub[v] = false
 		}
-		if res, found := findFairSCCWithin(n, succ, sub, analyze); found {
-			return res, true
+		var subRoots []int32
+		for _, v := range comp {
+			if sub[v] {
+				subRoots = append(subRoots, v)
+			}
 		}
+		slices.Sort(subRoots)
+		found, _, err = findFairSCCWithin(ctx, succ, sub, subRoots, analyze)
+		return found != nil || err != nil
+	})
+	if serr != nil {
+		return nil, false, serr
 	}
-	return nil, false
+	return found, found != nil, err
 }
 
 // stitchRun builds a fair lasso: a prefix from an initial vertex to the
 // component, then a loop visiting every component vertex (covering all
 // edge obligations and an accepting vertex) and closing.
-func (g *product) stitchRun(comp []int) Run {
-	inComp := map[int]bool{}
+func (g *product) stitchRun(comp []int32) Run {
+	inComp := map[int32]bool{}
 	for _, v := range comp {
 		inComp[v] = true
 	}
 	n := len(g.verts)
-	succC := func(v int) []int {
-		var out []int
+	succC := func(v int32) []int32 {
+		var out []int32
 		for _, w := range g.adj[v] {
 			if inComp[w] {
 				out = append(out, w)
@@ -288,17 +311,17 @@ func (g *product) stitchRun(comp []int) Run {
 		return out
 	}
 	entry := comp[0]
-	prefixPath := graph.ShortestPath(n, g.initVerts, g.succ, func(v int) bool { return v == entry })
-	var loop []int
+	prefixPath := graph.ShortestPath(n, g.initVerts, g.succ, func(v int32) bool { return v == entry })
+	var loop []int32
 	cur := entry
-	remaining := map[int]bool{}
+	remaining := map[int32]bool{}
 	for _, v := range comp {
 		if v != entry {
 			remaining[v] = true
 		}
 	}
 	for len(remaining) > 0 {
-		p := graph.ShortestPath(n, []int{cur}, succC, func(v int) bool { return remaining[v] })
+		p := graph.ShortestPath(n, []int32{cur}, succC, func(v int32) bool { return remaining[v] })
 		if len(p) < 2 {
 			break // unreachable inside an SCC: cannot happen
 		}
@@ -308,13 +331,13 @@ func (g *product) stitchRun(comp []int) Run {
 		}
 		cur = p[len(p)-1]
 	}
-	back := graph.ShortestPath(n, []int{cur}, succC, func(v int) bool { return v == entry })
+	back := graph.ShortestPath(n, []int32{cur}, succC, func(v int32) bool { return v == entry })
 	if len(back) > 1 {
 		loop = append(loop, back[1:]...)
 	} else if len(loop) == 0 {
 		loop = append(loop, entry) // single vertex with a self-loop
 	}
-	toEdges := func(vs []int) []ts.Edge {
+	toEdges := func(vs []int32) []ts.Edge {
 		out := make([]ts.Edge, len(vs))
 		for i, v := range vs {
 			out[i] = g.edges[g.verts[v].e]

@@ -12,9 +12,9 @@ import (
 const ctxLineLen = 5000
 
 func lineSucc(n int) Succ {
-	return func(v int) []int {
-		if v+1 < n {
-			return []int{v + 1}
+	return func(v int32) []int32 {
+		if int(v)+1 < n {
+			return []int32{v + 1}
 		}
 		return nil
 	}
@@ -36,7 +36,7 @@ func lineCSR(n int) CSR {
 func TestReachableCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	seen, err := ReachableCtx(ctx, ctxLineLen, []int{0}, lineSucc(ctxLineLen))
+	seen, err := Reachable(ctx, ctxLineLen, []int32{0}, lineSucc(ctxLineLen))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -46,9 +46,12 @@ func TestReachableCtxCancelled(t *testing.T) {
 }
 
 func TestReachableCtxNilAndLive(t *testing.T) {
-	want := Reachable(ctxLineLen, []int{0}, lineSucc(ctxLineLen))
+	want, err := Reachable(nil, ctxLineLen, []int32{0}, lineSucc(ctxLineLen))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ctx := range []context.Context{nil, context.Background()} {
-		seen, err := ReachableCtx(ctx, ctxLineLen, []int{0}, lineSucc(ctxLineLen))
+		seen, err := Reachable(ctx, ctxLineLen, []int32{0}, lineSucc(ctxLineLen))
 		if err != nil {
 			t.Fatalf("ctx=%v: %v", ctx, err)
 		}
@@ -60,14 +63,16 @@ func TestReachableCtxNilAndLive(t *testing.T) {
 	}
 }
 
+// TestReachableCSRCtxCancelled runs Reachable over a CSR's Succ, the
+// form the automata packages pass.
 func TestReachableCSRCtxCancelled(t *testing.T) {
 	g := lineCSR(ctxLineLen)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReachableCSRCtx(ctx, g, []int{0}); !errors.Is(err, context.Canceled) {
+	if _, err := Reachable(ctx, ctxLineLen, []int32{0}, g.Succ); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	seen, err := ReachableCSRCtx(nil, g, []int{0})
+	seen, err := Reachable(nil, ctxLineLen, []int32{0}, g.Succ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,5 +80,15 @@ func TestReachableCSRCtxCancelled(t *testing.T) {
 		if !s {
 			t.Fatalf("state %d unreachable in line graph", v)
 		}
+	}
+}
+
+// TestSearchCtxCancelled: Search polls its context while it runs.
+func TestSearchCtxCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Search(ctx, []int32{0}, Static(lineCSR(ctxLineLen).Succ), func([]int32) bool { return false })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

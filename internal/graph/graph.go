@@ -1,7 +1,9 @@
 // Package graph provides the directed-graph algorithms shared by the
-// automata and fairness packages: Tarjan's strongly-connected-components
-// decomposition (iterative, so deep systems do not overflow the stack),
-// reachability, bottom-SCC analysis, and shortest-path extraction.
+// automata and fairness packages: one iterative Tarjan search for
+// strongly connected components (iterative, so deep systems do not
+// overflow the stack; lazy, so a product automaton can be expanded on
+// the fly), reachability, bottom-SCC analysis, and shortest-path
+// extraction.
 package graph
 
 import (
@@ -10,225 +12,187 @@ import (
 	"relive/internal/interrupt"
 )
 
-// Succ enumerates the successor vertices of v. Implementations may yield
-// duplicates; the algorithms tolerate them.
-type Succ func(v int) []int
+// Succ returns the successor vertices of v as a slice the callee owns
+// and the caller must not mutate. Implementations may yield duplicates;
+// the algorithms tolerate them.
+type Succ func(v int32) []int32
 
 // CSR is a compressed-sparse-row adjacency list: the successors of
 // vertex v are Dst[Off[v]:Off[v+1]]. It is the compiled form the
-// automata packages hand to the graph algorithms so the inner loops walk
-// flat arrays instead of calling an allocating Succ closure per vertex.
-// Duplicate edges are tolerated.
+// automata packages hand to the graph algorithms (as g.Succ) so the
+// inner loops walk flat arrays. Duplicate edges are tolerated.
 type CSR struct {
 	Off []int32
 	Dst []int32
 }
 
-// NumVertices returns the number of vertices of the graph.
-func (g CSR) NumVertices() int { return len(g.Off) - 1 }
-
 // Succ returns the successor slice of v (shared, do not mutate).
-func (g CSR) Succ(v int) []int32 { return g.Dst[g.Off[v]:g.Off[v+1]] }
+func (g CSR) Succ(v int32) []int32 { return g.Dst[g.Off[v]:g.Off[v+1]] }
 
-// Reverse returns the reversed graph, built in O(V+E).
-func (g CSR) Reverse() CSR {
-	n := g.NumVertices()
+// Reverse returns the reversed graph of vertices 0..n-1, built in
+// O(V+E) with two passes over succ.
+func Reverse(n int, succ Succ) CSR {
 	off := make([]int32, n+1)
-	for _, w := range g.Dst {
-		off[w+1]++
+	for v := int32(0); v < int32(n); v++ {
+		for _, w := range succ(v) {
+			off[w+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	dst := make([]int32, len(g.Dst))
+	dst := make([]int32, off[n])
 	next := make([]int32, n)
 	copy(next, off[:n])
-	for v := 0; v < n; v++ {
-		for _, w := range g.Succ(v) {
-			dst[next[w]] = int32(v)
+	for v := int32(0); v < int32(n); v++ {
+		for _, w := range succ(v) {
+			dst[next[w]] = v
 			next[w]++
 		}
 	}
 	return CSR{Off: off, Dst: dst}
 }
 
-// SCCs returns the strongly connected components of the graph with
-// vertices 0..n-1 in reverse topological order (every edge leaving a
-// component points to a component earlier in the returned slice).
-// Components are Tarjan components: singletons without self-loops are
-// "trivial" components.
-func SCCs(n int, succ Succ) [][]int {
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack   []int
-		comps   [][]int
-		counter int
-	)
-
-	type frame struct {
-		v    int
-		succ []int
-		next int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		callStack := []frame{{v: root}}
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			if f.succ == nil {
-				index[f.v] = counter
-				low[f.v] = counter
-				counter++
-				stack = append(stack, f.v)
-				onStack[f.v] = true
-				f.succ = succ(f.v)
-			}
-			advanced := false
-			for f.next < len(f.succ) {
-				w := f.succ[f.next]
-				f.next++
-				if index[w] == unvisited {
-					callStack = append(callStack, frame{v: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// All successors done: pop.
-			if low[f.v] == index[f.v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == f.v {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := &callStack[len(callStack)-1]
-				if low[v] < low[parent.v] {
-					low[parent.v] = low[v]
-				}
-			}
-		}
-	}
-	return comps
+// Tree is the depth-first forest a Search built. Parent[v] is the
+// vertex from which v was first reached, -1 for roots and for vertices
+// the search never reached; Edge[v] is the position of v in Parent[v]'s
+// successor slice, so a caller that labels its edges can read the label
+// of every tree edge back. Both slices are indexed by vertex id and may
+// be shorter than the largest id the caller interned.
+type Tree struct {
+	Parent []int32
+	Edge   []int32
 }
 
-// SCCsCSR is SCCs over a compiled CSR adjacency: the same iterative
-// Tarjan, but the successor scan walks a flat slice span per vertex with
-// no per-vertex allocation.
-func SCCsCSR(g CSR) [][]int {
+// Search runs Tarjan's strongly-connected-components algorithm from
+// each root in order (roots already reached are skipped), calling
+// onComp with each component as it pops, in reverse topological order
+// of the graph reached: every edge leaving a component points to a
+// component reported earlier. Members are listed in pop order, the
+// component's root last. The comp slice is reused after onComp returns,
+// so onComp must copy what it keeps. The search stops as soon as onComp
+// returns true.
+//
+// Vertices are dense non-negative ids the caller interns; the
+// per-vertex state grows as new ids appear, so one search serves a
+// static graph (roots 0..n-1) and a product expanded lazily by succ.
+// succ is called exactly once per reached vertex, when it is first
+// reached, and its error aborts the search. A non-nil ctx is polled
+// once per step and its error aborts the search too.
+func Search(ctx context.Context, roots []int32, succ func(v int32) ([]int32, error), onComp func(comp []int32) (stop bool)) (Tree, error) {
 	const unvisited = -1
-	n := g.NumVertices()
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack   []int
-		comps   [][]int
-		counter int
-	)
-
 	type frame struct {
-		v    int
+		v    int32
+		succ []int32
 		next int32
 	}
-	for root := 0; root < n; root++ {
+	var (
+		index, low  []int32
+		onStack     []bool
+		tree        Tree
+		stack, comp []int32
+		frames      []frame
+		counter     int32
+		tick        interrupt.Tick
+	)
+	grow := func(v int32) {
+		for int32(len(index)) <= v {
+			index = append(index, unvisited)
+			low = append(low, 0)
+			onStack = append(onStack, false)
+			tree.Parent = append(tree.Parent, -1)
+			tree.Edge = append(tree.Edge, -1)
+		}
+	}
+	enter := func(v int32) error {
+		out, err := succ(v)
+		if err != nil {
+			return err
+		}
+		index[v], low[v] = counter, counter
+		counter++
+		stack = append(stack, v)
+		onStack[v] = true
+		frames = append(frames, frame{v: v, succ: out})
+		return nil
+	}
+	for _, root := range roots {
+		grow(root)
 		if index[root] != unvisited {
 			continue
 		}
-		callStack := []frame{{v: root, next: -1}}
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			if f.next < 0 {
-				index[f.v] = counter
-				low[f.v] = counter
-				counter++
-				stack = append(stack, f.v)
-				onStack[f.v] = true
-				f.next = 0
+		if err := enter(root); err != nil {
+			return Tree{}, err
+		}
+		for len(frames) > 0 {
+			if err := tick.Poll(ctx); err != nil {
+				return Tree{}, err
 			}
-			succ := g.Succ(f.v)
-			advanced := false
-			for int(f.next) < len(succ) {
-				w := int(succ[f.next])
+			f := &frames[len(frames)-1]
+			descended := false
+			for int(f.next) < len(f.succ) {
+				w := f.succ[f.next]
 				f.next++
+				grow(w)
 				if index[w] == unvisited {
-					callStack = append(callStack, frame{v: w, next: -1})
-					advanced = true
+					tree.Parent[w], tree.Edge[w] = f.v, f.next-1
+					if err := enter(w); err != nil {
+						return Tree{}, err
+					}
+					descended = true
 					break
 				}
 				if onStack[w] && index[w] < low[f.v] {
 					low[f.v] = index[w]
 				}
 			}
-			if advanced {
+			if descended {
 				continue
 			}
-			if low[f.v] == index[f.v] {
-				var comp []int
+			v := f.v
+			frames = frames[:len(frames)-1]
+			if low[v] == index[v] {
+				comp = comp[:0]
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					comp = append(comp, w)
-					if w == f.v {
+					if w == v {
 						break
 					}
 				}
-				comps = append(comps, comp)
+				if onComp(comp) {
+					return tree, nil
+				}
 			}
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := &callStack[len(callStack)-1]
-				if low[v] < low[parent.v] {
-					low[parent.v] = low[v]
+			if len(frames) > 0 {
+				if p := &frames[len(frames)-1]; low[v] < low[p.v] {
+					low[p.v] = low[v]
 				}
 			}
 		}
 	}
-	return comps
+	return tree, nil
 }
 
-// ComponentOf returns, for each vertex, the index of its component in the
-// slice returned by SCCs.
-func ComponentOf(n int, comps [][]int) []int {
-	comp := make([]int, n)
-	for ci, c := range comps {
-		for _, v := range c {
-			comp[v] = ci
-		}
+// Vertices returns 0..n-1, the roots of a Search over a static graph.
+func Vertices(n int) []int32 {
+	out := make([]int32, n)
+	for v := range out {
+		out[v] = int32(v)
 	}
-	return comp
+	return out
+}
+
+// Static adapts a successor function that cannot fail to Search.
+func Static(succ Succ) func(v int32) ([]int32, error) {
+	return func(v int32) ([]int32, error) { return succ(v), nil }
 }
 
 // IsTrivialSCC reports whether comp is a single vertex without a
 // self-loop, i.e. carries no cycle.
-func IsTrivialSCC(comp []int, succ Succ) bool {
+func IsTrivialSCC(comp []int32, succ Succ) bool {
 	if len(comp) > 1 {
 		return false
 	}
@@ -241,21 +205,15 @@ func IsTrivialSCC(comp []int, succ Succ) bool {
 	return true
 }
 
-// Reachable returns the set of vertices reachable from the given sources
-// (including the sources themselves).
-func Reachable(n int, sources []int, succ Succ) []bool {
-	seen, _ := ReachableCtx(nil, n, sources, succ)
-	return seen
-}
-
-// ReachableCtx is Reachable with a cooperative cancellation checkpoint
-// inside the BFS loop: when ctx is cancelled the expansion stops and
-// the context's error is returned. A nil ctx never cancels.
-func ReachableCtx(ctx context.Context, n int, sources []int, succ Succ) ([]bool, error) {
+// Reachable returns the set of vertices of 0..n-1 reachable from the
+// given sources (including the sources themselves). A non-nil ctx is
+// polled inside the BFS loop; when it is cancelled the expansion stops
+// and the context's error is returned.
+func Reachable(ctx context.Context, n int, sources []int32, succ Succ) ([]bool, error) {
 	seen := make([]bool, n)
-	queue := make([]int, 0, len(sources))
+	queue := make([]int32, 0, len(sources))
 	for _, s := range sources {
-		if s >= 0 && s < n && !seen[s] {
+		if s >= 0 && int(s) < n && !seen[s] {
 			seen[s] = true
 			queue = append(queue, s)
 		}
@@ -275,97 +233,20 @@ func ReachableCtx(ctx context.Context, n int, sources []int, succ Succ) ([]bool,
 	return seen, nil
 }
 
-// IsTrivialSCCCSR is IsTrivialSCC over a CSR adjacency.
-func IsTrivialSCCCSR(comp []int, g CSR) bool {
-	if len(comp) > 1 {
-		return false
-	}
-	v := comp[0]
-	for _, w := range g.Succ(v) {
-		if int(w) == v {
-			return false
-		}
-	}
-	return true
-}
-
-// ReachableCSR is Reachable over a CSR adjacency.
-func ReachableCSR(g CSR, sources []int) []bool {
-	seen, _ := ReachableCSRCtx(nil, g, sources)
-	return seen
-}
-
-// ReachableCSRCtx is ReachableCSR with a cooperative cancellation
-// checkpoint inside the BFS loop. A nil ctx never cancels.
-func ReachableCSRCtx(ctx context.Context, g CSR, sources []int) ([]bool, error) {
-	n := g.NumVertices()
+// CoReachable returns the set of vertices of 0..n-1 from which some
+// target vertex is reachable, computed on the reversed graph.
+func CoReachable(n int, targets []bool, succ Succ) []bool {
+	rev := Reverse(n, succ)
 	seen := make([]bool, n)
-	queue := make([]int, 0, n)
-	for _, s := range sources {
-		if s >= 0 && s < n && !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	var tick interrupt.Tick
-	for qi := 0; qi < len(queue); qi++ {
-		if err := tick.Poll(ctx); err != nil {
-			return nil, err
-		}
-		for _, w := range g.Succ(queue[qi]) {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, int(w))
-			}
-		}
-	}
-	return seen, nil
-}
-
-// CoReachableCSR is CoReachable over a CSR adjacency: one O(V+E) reverse
-// pass instead of per-vertex Succ calls.
-func CoReachableCSR(g CSR, targets []bool) []bool {
-	rev := g.Reverse()
-	n := g.NumVertices()
-	seen := make([]bool, n)
-	queue := make([]int, 0, n)
+	queue := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
 		if targets[v] {
 			seen[v] = true
-			queue = append(queue, v)
+			queue = append(queue, int32(v))
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		for _, w := range rev.Succ(queue[qi]) {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, int(w))
-			}
-		}
-	}
-	return seen
-}
-
-// CoReachable returns the set of vertices from which some target vertex is
-// reachable, computed on the reversed graph.
-func CoReachable(n int, targets []bool, succ Succ) []bool {
-	// Build reverse adjacency once; succ may be expensive.
-	rev := make([][]int, n)
-	for v := 0; v < n; v++ {
-		for _, w := range succ(v) {
-			rev[w] = append(rev[w], v)
-		}
-	}
-	seen := make([]bool, n)
-	var queue []int
-	for v := 0; v < n; v++ {
-		if targets[v] {
-			seen[v] = true
-			queue = append(queue, v)
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		for _, w := range rev[queue[qi]] {
 			if !seen[w] {
 				seen[w] = true
 				queue = append(queue, w)
@@ -375,56 +256,58 @@ func CoReachable(n int, targets []bool, succ Succ) []bool {
 	return seen
 }
 
-// BottomSCCs returns the components (as produced by SCCs) out of which no
-// edge leaves, restricted to components reachable from sources. In a
-// finite system whose every state has a successor, the strongly fair runs
-// are exactly the runs whose infinity set is such a bottom component.
-func BottomSCCs(n int, sources []int, succ Succ) [][]int {
-	comps := SCCs(n, succ)
-	compOf := ComponentOf(n, comps)
-	reach := Reachable(n, sources, succ)
-	var bottoms [][]int
-	for ci, c := range comps {
-		if !reach[c[0]] {
-			continue
+// BottomSCCs returns the components reachable from sources out of which
+// no edge leaves. In a finite system whose every state has a successor,
+// the strongly fair runs are exactly the runs whose infinity set is
+// such a bottom component.
+func BottomSCCs(sources []int32, succ Succ) [][]int32 {
+	var (
+		bottoms [][]int32
+		compOf  []int32 // 1 + the index of a vertex's component, 0 while unassigned
+		id      int32
+	)
+	// Cannot fail: a nil ctx never cancels and a static succ never errs.
+	Search(nil, sources, Static(succ), func(comp []int32) bool {
+		id++
+		for _, v := range comp {
+			for int32(len(compOf)) <= v {
+				compOf = append(compOf, 0)
+			}
+			compOf[v] = id
 		}
-		isBottom := true
-		for _, v := range c {
+		// Every successor was reached before comp popped, so it is
+		// either a member or belongs to an earlier component.
+		for _, v := range comp {
 			for _, w := range succ(v) {
-				if compOf[w] != ci {
-					isBottom = false
-					break
+				if compOf[w] != id {
+					return false
 				}
 			}
-			if !isBottom {
-				break
-			}
 		}
-		if isBottom {
-			bottoms = append(bottoms, c)
-		}
-	}
+		bottoms = append(bottoms, append([]int32(nil), comp...))
+		return false
+	})
 	return bottoms
 }
 
 // ShortestPath returns a shortest path (as a vertex sequence, inclusive of
 // both endpoints) from any source to any vertex satisfying goal, or nil
 // when no such vertex is reachable.
-func ShortestPath(n int, sources []int, succ Succ, goal func(v int) bool) []int {
-	parent := make([]int, n)
+func ShortestPath(n int, sources []int32, succ Succ, goal func(v int32) bool) []int32 {
+	parent := make([]int32, n)
 	seen := make([]bool, n)
 	for i := range parent {
 		parent[i] = -1
 	}
-	var queue []int
+	var queue []int32
 	for _, s := range sources {
-		if s < 0 || s >= n || seen[s] {
+		if s < 0 || int(s) >= n || seen[s] {
 			continue
 		}
 		seen[s] = true
 		queue = append(queue, s)
 		if goal(s) {
-			return []int{s}
+			return []int32{s}
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
@@ -436,21 +319,17 @@ func ShortestPath(n int, sources []int, succ Succ, goal func(v int) bool) []int 
 			seen[w] = true
 			parent[w] = v
 			if goal(w) {
-				var path []int
+				var path []int32
 				for u := w; u != -1; u = parent[u] {
 					path = append(path, u)
 				}
-				reverse(path)
+				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+					path[i], path[j] = path[j], path[i]
+				}
 				return path
 			}
 			queue = append(queue, w)
 		}
 	}
 	return nil
-}
-
-func reverse(a []int) {
-	for i, j := 0, len(a)-1; i < j; i, j = i+1, j-1 {
-		a[i], a[j] = a[j], a[i]
-	}
 }

@@ -328,14 +328,14 @@ func (d *DFA) IsEmpty() bool {
 		return true
 	}
 	n := d.NumStates()
-	succ := func(v int) []int {
-		var out []int
+	succ := func(v int32) []int32 {
+		var out []int32
 		for _, t := range d.trans[v] {
-			out = append(out, int(t))
+			out = append(out, int32(t))
 		}
 		return out
 	}
-	reach := graph.Reachable(n, []int{int(d.initial)}, succ)
+	reach, _ := graph.Reachable(nil, n, []int32{int32(d.initial)}, succ)
 	for i := 0; i < n; i++ {
 		if reach[i] && d.accepting[i] {
 			return false

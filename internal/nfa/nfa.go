@@ -245,11 +245,11 @@ func (a *NFA) ResidualFrom(set []State) *NFA {
 	return c
 }
 
-// initialInts converts the initial states to ints for the graph package.
-func (a *NFA) initialInts() []int {
-	out := make([]int, len(a.initial))
+// initialIDs converts the initial states to graph vertex ids.
+func (a *NFA) initialIDs() []int32 {
+	out := make([]int32, len(a.initial))
 	for i, s := range a.initial {
-		out[i] = int(s)
+		out[i] = int32(s)
 	}
 	return out
 }
@@ -261,12 +261,8 @@ func (a *NFA) initialInts() []int {
 func (a *NFA) Trim() *NFA {
 	n := a.NumStates()
 	g := a.Compiled().Graph()
-	reach := graph.ReachableCSR(g, a.initialInts())
-	acc := make([]bool, n)
-	for i, ok := range a.accepting {
-		acc[i] = ok
-	}
-	coreach := graph.CoReachableCSR(g, acc)
+	reach, _ := graph.Reachable(nil, n, a.initialIDs(), g.Succ)
+	coreach := graph.CoReachable(n, a.accepting, g.Succ)
 	keep := make([]State, n)
 	for i := range keep {
 		keep[i] = -1
@@ -300,7 +296,7 @@ func (a *NFA) Trim() *NFA {
 // IsEmpty reports whether the language is empty.
 func (a *NFA) IsEmpty() bool {
 	n := a.NumStates()
-	reach := graph.ReachableCSR(a.Compiled().Graph(), a.initialInts())
+	reach, _ := graph.Reachable(nil, n, a.initialIDs(), a.Compiled().Graph().Succ)
 	for i := 0; i < n; i++ {
 		if reach[i] && a.accepting[i] {
 			return false

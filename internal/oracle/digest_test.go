@@ -8,11 +8,16 @@ import (
 	"hash"
 	"testing"
 
+	"relive/internal/alphabet"
+	"relive/internal/buchi"
 	"relive/internal/core"
 	"relive/internal/fairness"
 	"relive/internal/gen"
 	"relive/internal/hom"
 	"relive/internal/ltl"
+	"relive/internal/oracle"
+	"relive/internal/rex"
+	"relive/internal/ts"
 )
 
 // reportDigest is the SHA-256 of the marshaled reports of the seeded
@@ -144,4 +149,118 @@ func writeDigest(t *testing.T, d hash.Hash, i int, check string, rep any, err er
 		t.Fatalf("case %d %s: marshal: %v", i, check, err)
 	}
 	fmt.Fprintf(d, "%d %s %s\n", i, check, body)
+}
+
+// sccDigest is the SHA-256 of the SCC-dependent outputs of the seeded
+// corpus of TestSCCDigestPinned. It is pinned separately from
+// reportDigest: the two corpora cover different routes, and a change
+// to one must not be hidden by re-pinning the other.
+const sccDigest = "c626c86f13017f84435812dd87f4a6c3210214f3d501482f041d44209feebd41"
+
+// sccOmegaTexts are small ω-regex properties for the CheckAll part of
+// TestSCCDigestPinned.
+var sccOmegaTexts = []string{
+	"( a ) ^w",
+	"( a b ) ^w",
+	"a * ( b ) ^w",
+	"( a | b ) ( a ) ^w",
+}
+
+// TestSCCDigestPinned pins the outputs whose exact bytes depend on the
+// order in which strongly connected components are found and on the
+// depth-first tree that finds them, over a seeded corpus of gen.Buchi
+// automata that are not all-accepting and gen.Systems of 3–12 states:
+// AcceptingLasso and Reduce (states and transitions), IntersectLasso on
+// two-track operands, IncludedRankCtx with a left operand that is not
+// all-accepting, strong and weak fairness.ExistsFairRun witness runs,
+// FairImplementation.BottomSCCsContainMarks on random marks and on
+// synthesized implementations, and core.CheckAll on automaton and
+// ω-regex properties.
+func TestSCCDigestPinned(t *testing.T) {
+	rng := newRng(1515)
+	d := sha256.New()
+	notAllAccepting := func(ab *alphabet.Alphabet, states int) *buchi.Buchi {
+		for {
+			b := gen.Buchi(rng, gen.Config{States: states, Density: 0.35 + 0.3*rng.Float64(), AcceptRatio: 0.3}, ab)
+			for s := 0; s < b.NumStates(); s++ {
+				if !b.Accepting(buchi.State(s)) {
+					return b
+				}
+			}
+		}
+	}
+	var entries, witnesses int
+	for i := 0; i < 800; i++ {
+		ab := gen.Letters(2 + rng.Intn(2))
+		a, c := notAllAccepting(ab, 2+rng.Intn(6)), notAllAccepting(ab, 2+rng.Intn(3))
+
+		l, ok := a.AcceptingLasso()
+		if ok {
+			witnesses++
+		}
+		// The loop is left out: at the commit this digest was pinned at,
+		// AcceptingLasso took its cycle's first letter in map order.
+		writeDigest(t, d, i, "accepting-lasso", []any{ok, l.Prefix.String(ab), oracle.AcceptsLasso(a, l)}, nil)
+		writeDigest(t, d, i, "reduce", a.Reduce().String(), nil)
+		l, ok = buchi.IntersectLasso(a, c)
+		if ok {
+			witnesses++
+		}
+		writeDigest(t, d, i, "intersect-lasso", []any{ok, l.String(ab)}, nil)
+		incl, l, err := buchi.IncludedRankCtx(nil, a, c)
+		if err == nil && !incl {
+			witnesses++
+		}
+		writeDigest(t, d, i, "included-rank", []any{incl, l.String(ab)}, err)
+		entries += 4
+
+		sys := gen.System(rng, ab, 3+rng.Intn(10), 0.2+0.3*rng.Float64())
+		for _, kind := range []fairness.Kind{fairness.Strong, fairness.Weak} {
+			run, found, err := fairness.ExistsFairRun(sys, c, kind)
+			if found {
+				witnesses++
+			}
+			writeDigest(t, d, i, "fair-run", []any{found, run}, err)
+			entries++
+		}
+		marked := map[ts.State]bool{}
+		for s := 0; s < sys.NumStates(); s++ {
+			if rng.Intn(3) == 0 {
+				marked[ts.State(s)] = true
+			}
+		}
+		fi := &core.FairImplementation{System: sys, Marked: marked}
+		writeDigest(t, d, i, "bottom-marks", fi.BottomSCCsContainMarks(), nil)
+		entries++
+
+		if i%2 == 0 {
+			continue
+		}
+		var p core.Property
+		if i%4 == 1 {
+			p = core.FromAutomaton(notAllAccepting(ab, 2+rng.Intn(2)))
+		} else {
+			o, err := rex.ParseOmega(ab, sccOmegaTexts[rng.Intn(len(sccOmegaTexts))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := o.Buchi()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = core.FromAutomaton(b)
+		}
+		rep, err := core.CheckAll(sys, p)
+		writeDigest(t, d, i, "all", rep, err)
+		entries++
+		if impl, err := core.SynthesizeFairImplementation(sys, p); err == nil {
+			writeDigest(t, d, i, "synthesized-bottom-marks", []any{impl.System.NumStates(), impl.BottomSCCsContainMarks()}, nil)
+			entries++
+		}
+	}
+	got := hex.EncodeToString(d.Sum(nil))
+	t.Logf("%d entries (%d with witnesses)", entries, witnesses)
+	if got != sccDigest {
+		t.Fatalf("SCC digest %s, want %s: some verdict or witness changed", got, sccDigest)
+	}
 }

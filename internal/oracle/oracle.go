@@ -249,6 +249,19 @@ func liveBuchiStates(b *buchi.Buchi) []bool {
 	return reachesAcceptingCycle(adj, acc)
 }
 
+// IsEmpty reports whether L_ω(b) is empty: no initial state has an
+// accepting ω-continuation. It shares nothing with buchi's emptiness
+// search.
+func IsEmpty(b *buchi.Buchi) bool {
+	live := liveBuchiStates(b)
+	for _, s := range b.Initial() {
+		if live[s] {
+			return false
+		}
+	}
+	return true
+}
+
 // AcceptsLasso reports whether b accepts u·v^ω, naively: unroll the
 // loop into positions and look, among the (state, loop position) pairs
 // reachable after the prefix, for an accepting pair on a cycle. It

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"runtime"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"relive/internal/gen"
 	"relive/internal/serve"
 )
 
@@ -72,6 +74,23 @@ func TestServerDeadline504(t *testing.T) {
 		t.Fatalf("abstraction timed out after %v, want seconds", elapsed)
 	}
 	waitFlightVerdict(t, s, "abstraction", "timeout")
+
+	// Satisfaction of a nondeterministic ω-regex property honors it in
+	// the rank-based complement of the property automaton, which runs
+	// for seconds on this system.
+	start = time.Now()
+	status, _, body = postJSON(t, hs.URL+"/v1/check/satisfies", serve.CheckRequest{
+		System:    gen.System(rand.New(rand.NewSource(82)), gen.Letters(3), 8, 0.35).FormatString(),
+		Omega:     "( ( a | b ) * a ( a | b ) c ) ^w",
+		TimeoutMS: 100,
+	})
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("satisfies status = %d, want 504: %s", status, body)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("satisfies timed out after %v, want well under a second", elapsed)
+	}
+	waitFlightVerdict(t, s, "satisfies", "timeout")
 }
 
 // TestClientCancelMidFlight: dropping the connection mid-check cancels

@@ -208,16 +208,16 @@ func (s *System) TrimCtx(ctx context.Context) (*System, error) {
 		return nil, fmt.Errorf("ts: system has no initial state")
 	}
 	n := s.NumStates()
-	succ := func(v int) []int {
-		var out []int
+	succ := func(v int32) []int32 {
+		var out []int32
 		for _, ts := range s.trans[v] {
 			for _, t := range ts {
-				out = append(out, int(t))
+				out = append(out, int32(t))
 			}
 		}
 		return out
 	}
-	reach, err := graph.ReachableCtx(ctx, n, []int{int(s.initial)}, succ)
+	reach, err := graph.Reachable(ctx, n, []int32{int32(s.initial)}, succ)
 	if err != nil {
 		return nil, fmt.Errorf("ts: trim: %w", err)
 	}
@@ -234,7 +234,7 @@ func (s *System) TrimCtx(ctx context.Context) (*System, error) {
 				continue
 			}
 			hasSucc := false
-			for _, t := range succ(v) {
+			for _, t := range succ(int32(v)) {
 				if alive[t] {
 					hasSucc = true
 					break
