@@ -45,7 +45,7 @@ func BenchmarkFig2RelativeLiveness(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RelativeLiveness(sys, p)
+		res, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil || !res.Holds {
 			b.Fatalf("unexpected verdict %v, %v", res.Holds, err)
 		}
@@ -60,7 +60,7 @@ func BenchmarkFig3NotRelativeLiveness(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RelativeLiveness(sys, p)
+		res, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil || res.Holds {
 			b.Fatalf("unexpected verdict %v, %v", res.Holds, err)
 		}
@@ -78,7 +78,7 @@ func BenchmarkFig4AbstractCheck(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RelativeLiveness(sys, p)
+		res, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil || !res.Holds {
 			b.Fatalf("unexpected verdict %v, %v", res.Holds, err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkFairImplementation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fi, err := core.SynthesizeFairImplementation(sys, p)
+		fi, err := core.SynthesizeFairImplementation(nil, sys, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkRelLivenessScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RelativeLiveness(sys, p); err != nil {
+				if _, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -180,7 +180,7 @@ func BenchmarkRelSafetyScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RelativeSafety(sys, p); err != nil {
+				if _, err := core.RelativeSafetyCellsCtx(nil, nil, core.NewPipelineCells(sys, p)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -198,7 +198,7 @@ func BenchmarkFormulaSizeScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("depth=%d", d), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RelativeLiveness(sys, p); err != nil {
+				if _, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -216,7 +216,7 @@ func BenchmarkConjunctionTheorem(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		direct, err := core.Satisfies(sys, p)
+		direct, err := core.SatisfiesCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func BenchmarkRLAblation(b *testing.B) {
 		run  func() (bool, error)
 	}{
 		{"lemma4.3", func() (bool, error) {
-			r, err := core.RelativeLiveness(sys, p)
+			r, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 			return r.Holds, err
 		}},
 		{"definition4.1", func() (bool, error) {

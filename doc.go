@@ -23,14 +23,15 @@
 //	    busy result idle
 //	    busy reject idle
 //	`)
-//	prop := relive.MustParseLTL("G F result")
-//	res, _ := relive.CheckRelativeLiveness(sys, prop)
+//	prop := relive.PropertyFromLTL(relive.MustParseLTL("G F result"), nil)
+//	res, _ := relive.With().CheckRelativeLiveness(context.Background(), sys, prop)
 //	fmt.Println(res.Holds) // true: some fair implementation satisfies it
 //
 // # Abstraction
 //
 //	h, _ := relive.ParseHom(sys.Alphabet(), "request=>request, result=>result, reject=>")
-//	report, _ := relive.VerifyViaAbstraction(sys, h, relive.MustParseLTL("G F result"))
+//	eta := relive.MustParseLTL("G F result")
+//	report, _ := relive.With().VerifyViaAbstraction(context.Background(), sys, h, eta)
 //	fmt.Println(report.Conclusion)
 //
 // The building blocks — finite automata, Büchi automata with rank-based

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -58,7 +59,7 @@ func run(parallel bool) error {
 		h := relive.ObserveActions(farm.Alphabet(), "req0", "res0")
 		eta := relive.MustParseLTL("G (req0 -> F res0)")
 		start := time.Now()
-		report, err := relive.VerifyViaAbstraction(farm, h, eta)
+		report, err := relive.With().VerifyViaAbstraction(context.Background(), farm, h, eta)
 		if err != nil {
 			return err
 		}
@@ -79,7 +80,7 @@ func run(parallel bool) error {
 				props = append(props, relive.PropertyFromLTL(f, nil))
 			}
 			pstart := time.Now()
-			reports, err := chk.CheckPropertyPortfolio(farm, props)
+			reports, err := chk.CheckPropertyPortfolio(context.Background(), farm, props)
 			if err != nil {
 				return err
 			}

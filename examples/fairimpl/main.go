@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,8 +31,9 @@ q b q
 		return err
 	}
 	prop := relive.MustParseLTL("F (a & X a)") // ◇(a ∧ ○a)
+	chk := relive.With()
 
-	rl, err := relive.CheckRelativeLiveness(sys, prop)
+	rl, err := chk.CheckRelativeLiveness(context.Background(), sys, relive.PropertyFromLTL(prop, nil))
 	if err != nil {
 		return err
 	}
@@ -46,7 +48,7 @@ q b q
 		fmt.Printf("  strongly fair violating run: %s\n", bad.Word().String(sys.Alphabet()))
 	}
 
-	fi, err := relive.SynthesizeFairImplementation(sys, prop)
+	fi, err := chk.SynthesizeFairImplementation(sys, prop)
 	if err != nil {
 		return err
 	}

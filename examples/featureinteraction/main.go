@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -57,6 +58,7 @@ func main() {
 
 func run(parallel bool) error {
 	eta := relive.MustParseLTL("G (call -> F (answer | fwdanswer | record))")
+	ctx := context.Background()
 	for _, variant := range []struct {
 		name string
 		text string
@@ -69,7 +71,7 @@ func run(parallel bool) error {
 			return err
 		}
 		h := relive.ObserveActions(sys.Alphabet(), "call", "answer", "fwdanswer", "record")
-		report, err := relive.VerifyViaAbstraction(sys, h, eta)
+		report, err := relive.With().VerifyViaAbstraction(ctx, sys, h, eta)
 		if err != nil {
 			return err
 		}
@@ -83,7 +85,7 @@ func run(parallel bool) error {
 		if err != nil {
 			return err
 		}
-		direct, err := relive.CheckRelativeLivenessProperty(sys, p)
+		direct, err := relive.With().CheckRelativeLiveness(ctx, sys, p)
 		if err != nil {
 			return err
 		}
@@ -112,7 +114,7 @@ func run(parallel bool) error {
 				props = append(props, relive.PropertyFromLTL(relive.MustParseLTL(entry.formula), nil))
 			}
 			chk := relive.With(relive.WithParallelism(0))
-			reports, err := chk.CheckPropertyPortfolio(sys, props)
+			reports, err := chk.CheckPropertyPortfolio(ctx, sys, props)
 			if err != nil {
 				return err
 			}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,8 +55,11 @@ func run() error {
 	fmt.Printf("ring of %d philosophers: %d reachable markings\n",
 		philosophers, sys.NumStates())
 
-	prop := relive.MustParseLTL("G F eat0")
-	sat, err := relive.CheckSatisfies(sys, prop)
+	eat := relive.MustParseLTL("G F eat0")
+	prop := relive.PropertyFromLTL(eat, nil)
+	ctx := context.Background()
+	chk := relive.With()
+	sat, err := chk.CheckSatisfies(ctx, sys, prop)
 	if err != nil {
 		return err
 	}
@@ -64,7 +68,7 @@ func run() error {
 		fmt.Printf("  starvation schedule:           %s\n",
 			sat.Counterexample.String(sys.Alphabet()))
 	}
-	rl, err := relive.CheckRelativeLiveness(sys, prop)
+	rl, err := chk.CheckRelativeLiveness(ctx, sys, prop)
 	if err != nil {
 		return err
 	}
@@ -72,7 +76,7 @@ func run() error {
 
 	// Abstract to philosopher 0's visible actions and verify there.
 	h := relive.ObserveActions(sys.Alphabet(), "eat0", "done0")
-	report, err := relive.VerifyViaAbstraction(sys, h, prop)
+	report, err := chk.VerifyViaAbstraction(ctx, sys, h, eat)
 	if err != nil {
 		return err
 	}

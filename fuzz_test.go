@@ -2,6 +2,7 @@ package relive_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -173,7 +174,8 @@ func FuzzCheckAll(f *testing.F) {
 		if err != nil || fml.Size() > 16 {
 			return
 		}
-		rep, err := relive.CheckAll(sys, fml)
+		p := relive.PropertyFromLTL(fml, nil)
+		rep, err := relive.With().CheckAll(context.Background(), sys, p)
 		if err != nil {
 			return // systems without behaviors etc. may legitimately error
 		}
@@ -181,8 +183,7 @@ func FuzzCheckAll(f *testing.F) {
 			t.Fatalf("Theorem 4.7 violated: sat=%v rl=%v rs=%v\nsystem:\n%s\nformula: %s",
 				rep.Satisfied, rep.RelativeLiveness, rep.RelativeSafety, sys.FormatString(), fml)
 		}
-		p := core.FromFormula(fml, nil)
-		repPar, err := core.CheckAllPar(sys, p, 4)
+		repPar, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, p), 4)
 		if err != nil {
 			t.Fatalf("parallel route errored where serial succeeded: %v", err)
 		}
@@ -196,15 +197,15 @@ func FuzzCheckAll(f *testing.F) {
 
 		ab := sys.Alphabet()
 		op := oracle.FromFormula(fml, nil)
-		sat, err := core.Satisfies(sys, p)
+		sat, err := core.SatisfiesCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := core.RelativeLiveness(sys, p)
+		rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := core.RelativeSafety(sys, p)
+		rs, err := core.RelativeSafetyCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +282,7 @@ func FuzzCheckFairAbstract(f *testing.F) {
 		if fairByte%2 == 1 {
 			kind = relive.FairnessWeak
 		}
-		rep, err := relive.CheckFairAbstract(sys, h, kind, eta)
+		rep, err := relive.With().CheckFairAbstract(context.Background(), sys, h, kind, eta)
 		if err != nil {
 			return // η not in Σ'-normal form etc.
 		}
@@ -307,12 +308,12 @@ func FuzzCheckFairAbstract(f *testing.F) {
 		}
 
 		// Monotonicity under fairness strengthening.
-		weakRep, err := relive.CheckFairAbstract(sys, h, relive.FairnessWeak, eta)
+		weakRep, err := relive.With().CheckFairAbstract(context.Background(), sys, h, relive.FairnessWeak, eta)
 		if err != nil {
 			return
 		}
 		if weakRep.Holds {
-			strongRep, err := relive.CheckFairAbstract(sys, h, relive.FairnessStrong, eta)
+			strongRep, err := relive.With().CheckFairAbstract(context.Background(), sys, h, relive.FairnessStrong, eta)
 			if err != nil {
 				t.Fatalf("strong check errored where weak succeeded: %v", err)
 			}
@@ -422,7 +423,7 @@ func FuzzCheckStatistical(f *testing.F) {
 		}
 		samples := 20 + int(budget)%60
 		checker := relive.With(relive.WithSeed(seed), relive.WithSampleBudget(samples, 48))
-		rep, err := checker.CheckStatistical(sys, phi)
+		rep, err := checker.CheckStatistical(context.Background(), sys, relive.PropertyFromLTL(phi, nil))
 		if err != nil {
 			t.Fatalf("CheckStatistical: %v", err)
 		}
@@ -467,7 +468,7 @@ func FuzzCheckStatistical(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep2, err := checker.CheckStatistical(sys, phi)
+		rep2, err := checker.CheckStatistical(context.Background(), sys, relive.PropertyFromLTL(phi, nil))
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}

@@ -1,7 +1,6 @@
 package buchi
 
 import (
-	"context"
 	"fmt"
 )
 
@@ -84,14 +83,4 @@ func (b *Buchi) ComplementDeterministic() (*Buchi, error) {
 		out.SetInitial(State(n + int(init)))
 	}
 	return out, nil
-}
-
-// ComplementAuto complements with the cheapest sound construction:
-// two-copy for deterministic automata, rank-based otherwise. ctx is
-// passed to Complement.
-func (b *Buchi) ComplementAuto(ctx context.Context) (*Buchi, error) {
-	if b.IsDeterministic() {
-		return b.ComplementDeterministic()
-	}
-	return b.Complement(ctx)
 }

@@ -93,28 +93,6 @@ func TestComplementDeterministicPartialRuns(t *testing.T) {
 	}
 }
 
-func TestComplementAuto(t *testing.T) {
-	ab := alphabet.FromNames("a", "b")
-	det := detInfA(ab)
-	c, err := det.ComplementAuto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.AcceptsLasso(lasso(ab, "", "a")) || !c.AcceptsLasso(lasso(ab, "", "b")) {
-		t.Error("ComplementAuto wrong on deterministic input")
-	}
-	nd := infManyA(ab)
-	sa, _ := ab.Lookup("a")
-	nd.AddTransition(0, sa, 0)
-	cnd, err := nd.ComplementAuto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnd.AcceptsLasso(lasso(ab, "", "a")) || !cnd.AcceptsLasso(lasso(ab, "", "b")) {
-		t.Error("ComplementAuto wrong on nondeterministic input")
-	}
-}
-
 func TestComplementDeterministicEmpty(t *testing.T) {
 	ab := alphabet.FromNames("a")
 	empty := New(ab)

@@ -72,26 +72,29 @@ type AbstractionReport struct {
 	Conclusion Conclusion
 }
 
-// VerifyViaAbstraction runs the paper's verification method end to end:
-// build the abstract system lim(h(L)), restore the no-maximal-words
-// precondition by the {#}*-extension if needed, decide whether η is a
-// relative liveness property of the abstract behaviors, decide whether h
-// is simple on L, and combine the answers per Corollary 8.4. η must be
-// in Σ'-normal form (atoms are abstract action names).
+// VerifyViaAbstraction is VerifyViaAbstractionCtx with no context and
+// no recorder.
 func VerifyViaAbstraction(sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
 	return VerifyViaAbstractionCtx(nil, nil, sys, h, eta)
 }
 
-// VerifyViaAbstractionCtx is VerifyViaAbstraction with cooperative
-// cancellation and every pipeline step reported to rec: the h(L) image,
-// the {#}*-extension, the abstract-system construction, the abstract
+// VerifyViaAbstractionCtx runs the paper's verification method end to
+// end: build the abstract system lim(h(L)), restore the
+// no-maximal-words precondition by the {#}*-extension if needed, decide
+// whether η is a relative liveness property of the abstract behaviors,
+// decide whether h is simple on L, and combine the answers per
+// Corollary 8.4. η must be in Σ'-normal form (atoms are abstract action
+// names).
+//
+// Every pipeline step is reported to rec: the h(L) image, the
+// {#}*-extension, the abstract-system construction, the abstract
 // relative-liveness check, the simplicity decision, and the R̄(η)
 // transformation. ctx is polled by the trim, the abstract check, and
 // the simplicity exploration, and between steps; the subset
 // constructions inside h(L) and lim(h(L)) run to completion. The
 // returned error wraps ctx.Err() when cancelled, and
 // ts.ErrNoInfiniteBehavior when sys has no behavior. A nil ctx never
-// cancels.
+// cancels and a nil rec records nothing.
 func VerifyViaAbstractionCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, h *hom.Hom, eta *ltl.Formula) (*AbstractionReport, error) {
 	sp := obs.StartSpan(rec, "core.VerifyViaAbstraction").
 		Tag("paper", "Corollary 8.4")
@@ -148,7 +151,8 @@ func VerifyViaAbstractionCtx(ctx context.Context, rec obs.Recorder, sys *ts.Syst
 
 	// Relative liveness of η on the abstract behaviors, under the
 	// canonical Σ'-labeling.
-	rl, err := RelativeLivenessCtx(ctx, rec, abstractSys, FromFormula(eta, ltl.Canonical(abstractSys.Alphabet())))
+	absProp := FromFormula(eta, ltl.Canonical(abstractSys.Alphabet()))
+	rl, err := RelativeLivenessCellsCtx(ctx, rec, NewPipelineCells(abstractSys, absProp))
 	if err != nil {
 		return nil, fmt.Errorf("abstraction: abstract check: %w", err)
 	}

@@ -54,7 +54,7 @@ func TestSection2AbstractionFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := RelativeLiveness(sys, concrete)
+	rl, err := RelativeLivenessCellsCtx(nil, nil, NewPipelineCells(sys, concrete))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSection2AbstractionFig3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := RelativeLiveness(sys, concrete)
+	rl, err := RelativeLivenessCellsCtx(nil, nil, NewPipelineCells(sys, concrete))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,8 @@ func TestQuickTheorems82And83(t *testing.T) {
 		if err != nil {
 			continue // empty abstraction
 		}
-		abs, err := RelativeLiveness(abstractSys, FromFormula(eta, ltl.Canonical(abstractSys.Alphabet())))
+		absProp := FromFormula(eta, ltl.Canonical(abstractSys.Alphabet()))
+		abs, err := RelativeLivenessCellsCtx(nil, nil, NewPipelineCells(abstractSys, absProp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestQuickTheorems82And83(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := RelativeLiveness(sys, concProp)
+		conc, err := RelativeLivenessCellsCtx(nil, nil, NewPipelineCells(sys, concProp))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func TestQuickAGEFMatchesRLOnDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := RelativeLiveness(sys, FromFormula(ltl.MustParse("G F a"), nil))
+		rl, err := RelativeLivenessCellsCtx(nil, nil, NewPipelineCells(sys, FromFormula(ltl.MustParse("G F a"), nil)))
 		if err != nil {
 			t.Fatal(err)
 		}

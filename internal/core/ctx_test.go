@@ -86,23 +86,23 @@ func TestCtxEntryPointsDeadline(t *testing.T) {
 		run  func(ctx context.Context) error
 	}{
 		{"CheckAllCtx", func(ctx context.Context) error {
-			_, err := core.CheckAllCtx(ctx, nil, sys, p, 1)
+			_, err := core.CheckAllCellsCtx(ctx, nil, core.NewPipelineCells(sys, p), 1)
 			return err
 		}},
 		{"CheckAllCtx/parallel", func(ctx context.Context) error {
-			_, err := core.CheckAllCtx(ctx, nil, sys, p, 3)
+			_, err := core.CheckAllCellsCtx(ctx, nil, core.NewPipelineCells(sys, p), 3)
 			return err
 		}},
 		{"RelativeLivenessCtx", func(ctx context.Context) error {
-			_, err := core.RelativeLivenessCtx(ctx, nil, sys, p)
+			_, err := core.RelativeLivenessCellsCtx(ctx, nil, core.NewPipelineCells(sys, p))
 			return err
 		}},
 		{"RelativeSafetyCtx", func(ctx context.Context) error {
-			_, err := core.RelativeSafetyCtx(ctx, nil, sys, p)
+			_, err := core.RelativeSafetyCellsCtx(ctx, nil, core.NewPipelineCells(sys, p))
 			return err
 		}},
 		{"SatisfiesCtx", func(ctx context.Context) error {
-			_, err := core.SatisfiesCtx(ctx, nil, sys, p)
+			_, err := core.SatisfiesCellsCtx(ctx, nil, core.NewPipelineCells(sys, p))
 			return err
 		}},
 		{"CheckPortfolioCtx", func(ctx context.Context) error {
@@ -133,8 +133,8 @@ func TestCtxEntryPointsPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := core.CheckAllCtx(ctx, nil, sys, p, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CheckAllCtx err = %v, want context.Canceled", err)
+	if _, err := core.CheckAllCellsCtx(ctx, nil, core.NewPipelineCells(sys, p), 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CheckAllCellsCtx err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("pre-cancelled check ran for %v", elapsed)
@@ -178,18 +178,18 @@ func TestVerifyViaAbstractionCtx(t *testing.T) {
 func TestCtxNilAndBackgroundMatchPlain(t *testing.T) {
 	sys := hugeSystem(t, 40)
 	p := hugeProperty(t)
-	want, err := core.CheckAll(sys, p)
+	want, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, p), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, err := core.CheckAllCtx(context.Background(), nil, sys, p, workers)
+		got, err := core.CheckAllCellsCtx(context.Background(), nil, core.NewPipelineCells(sys, p), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Satisfied != want.Satisfied || got.RelativeLiveness != want.RelativeLiveness ||
 			got.RelativeSafety != want.RelativeSafety {
-			t.Fatalf("CheckAllCtx(workers=%d) verdicts = %+v, want %+v", workers, got, want)
+			t.Fatalf("CheckAllCellsCtx(workers=%d) verdicts = %+v, want %+v", workers, got, want)
 		}
 	}
 }
@@ -218,7 +218,7 @@ func TestCtxCancelledRunDoesNotPoisonCells(t *testing.T) {
 	if err != nil {
 		t.Fatalf("follow-up run on shared cells: %v", err)
 	}
-	want, err := core.CheckAll(sys, p)
+	want, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, p), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCtxErrorNotConflatedWithVerdict(t *testing.T) {
 	}
 	p := core.FromFormula(f, nil)
 
-	res, err := core.SatisfiesCtx(context.Background(), nil, sys, p)
+	res, err := core.SatisfiesCellsCtx(context.Background(), nil, core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatalf("negative verdict returned error: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestCtxErrorNotConflatedWithVerdict(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = core.SatisfiesCtx(ctx, nil, sys, p)
+	_, err = core.SatisfiesCellsCtx(ctx, nil, core.NewPipelineCells(sys, p))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled err = %v, want context.Canceled", err)
 	}

@@ -78,32 +78,19 @@ func ParseFairnessKind(s string) (fairness.Kind, error) {
 	return 0, fmt.Errorf("core: unknown fairness kind %q (want \"strong\" or \"weak\")", s)
 }
 
-// CheckFairAbstract decides whether all kind-fair runs of sys satisfy
-// eta through h. eta is a property over h's destination alphabet; when
-// formula-backed it must be in Σ'-normal form (atoms are abstract
-// action names).
-func CheckFairAbstract(sys *ts.System, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
-	return CheckFairAbstractRec(nil, sys, h, kind, eta)
-}
-
-// CheckFairAbstractRec is CheckFairAbstract with every pipeline phase
-// reported to rec: the trim/behavior construction ("lim(L)"), the
-// negation automaton ("¬P"), the inverse image ("h⁻¹(¬P)"), the
-// pre-filter ("pre(L∩h⁻¹(¬P))"), and the fair emptiness search
-// ("fair(L∩h⁻¹(¬P))").
-func CheckFairAbstractRec(rec obs.Recorder, sys *ts.System, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
-	return CheckFairAbstractCells(nil, rec, NewSystemCells(sys), h, kind, eta)
-}
-
-// CheckFairAbstractCtx is CheckFairAbstract with cooperative
-// cancellation; the returned error wraps ctx.Err() when cancelled.
-func CheckFairAbstractCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
-	return CheckFairAbstractCells(ctx, rec, NewSystemCells(sys), h, kind, eta)
-}
-
-// CheckFairAbstractCells is CheckFairAbstractCtx over a pre-existing
-// (possibly cached) system artifact set, so a serving layer shares the
-// trimmed system and lim(L) with the other endpoints' checks.
+// CheckFairAbstractCells decides whether all kind-fair runs of the
+// system satisfy eta through h. eta is a property over h's destination
+// alphabet; when formula-backed it must be in Σ'-normal form (atoms are
+// abstract action names). The system comes from sc (NewSystemCells(sys)
+// for a one-off check), so a serving layer shares the trimmed system
+// and lim(L) with the other endpoints' checks.
+//
+// Every pipeline phase is reported to rec: the trim/behavior
+// construction ("lim(L)"), the negation automaton ("¬P"), the inverse
+// image ("h⁻¹(¬P)"), the pre-filter ("pre(L∩h⁻¹(¬P))"), and the fair
+// emptiness search ("fair(L∩h⁻¹(¬P))"). ctx is polled inside the
+// loops and the returned error wraps ctx.Err() when cancelled. A nil
+// ctx never cancels and a nil rec records nothing.
 func CheckFairAbstractCells(ctx context.Context, rec obs.Recorder, sc *SystemCells, h *hom.Hom, kind fairness.Kind, eta Property) (*FairAbstractReport, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, fmt.Errorf("fair abstract: %w", err)

@@ -33,19 +33,14 @@ type FairImplementation struct {
 // satisfies P.
 //
 // The function verifies the relative-liveness precondition and fails if
-// it does not hold (Theorem 5.1 gives no guarantee then).
-func SynthesizeFairImplementation(sys *ts.System, p Property) (*FairImplementation, error) {
-	return SynthesizeFairImplementationRec(nil, sys, p)
-}
-
-// SynthesizeFairImplementationRec is SynthesizeFairImplementation with
-// the precondition check, the reduced-product construction, and the
-// implementation build reported to rec.
-func SynthesizeFairImplementationRec(rec obs.Recorder, sys *ts.System, p Property) (*FairImplementation, error) {
+// it does not hold (Theorem 5.1 gives no guarantee then). The
+// precondition check, the reduced-product construction, and the
+// implementation build are reported to rec; a nil rec records nothing.
+func SynthesizeFairImplementation(rec obs.Recorder, sys *ts.System, p Property) (*FairImplementation, error) {
 	sp := obs.StartSpan(rec, "core.SynthesizeFairImplementation").
 		Tag("paper", "Theorem 5.1")
 	defer sp.End()
-	rl, err := RelativeLivenessRec(rec, sys, p)
+	rl, err := RelativeLivenessCellsCtx(nil, rec, NewPipelineCells(sys, p))
 	if err != nil {
 		return nil, fmt.Errorf("fair implementation: %w", err)
 	}

@@ -39,18 +39,18 @@ func TestRecordedChecksMatchPlain(t *testing.T) {
 	p := FromFormula(ltl.MustParse("G F result"), nil)
 	tr := obs.NewTrace()
 
-	rl, err := RelativeLivenessRec(tr, sys, p)
-	rlPlain, err2 := RelativeLiveness(sys, p)
+	rl, err := RelativeLivenessCellsCtx(nil, tr, NewPipelineCells(sys, p))
+	rlPlain, err2 := RelativeLivenessCellsCtx(nil, nil, NewPipelineCells(sys, p))
 	if err != nil || err2 != nil || rl.Holds != rlPlain.Holds {
 		t.Errorf("RelativeLiveness diverges under recorder: %v/%v, %v/%v", rl, err, rlPlain, err2)
 	}
-	rs, err := RelativeSafetyRec(tr, sys, p)
-	rsPlain, err2 := RelativeSafety(sys, p)
+	rs, err := RelativeSafetyCellsCtx(nil, tr, NewPipelineCells(sys, p))
+	rsPlain, err2 := RelativeSafetyCellsCtx(nil, nil, NewPipelineCells(sys, p))
 	if err != nil || err2 != nil || rs.Holds != rsPlain.Holds {
 		t.Errorf("RelativeSafety diverges under recorder: %v/%v, %v/%v", rs, err, rsPlain, err2)
 	}
-	sat, err := SatisfiesRec(tr, sys, p)
-	satPlain, err2 := Satisfies(sys, p)
+	sat, err := SatisfiesCellsCtx(nil, tr, NewPipelineCells(sys, p))
+	satPlain, err2 := SatisfiesCellsCtx(nil, nil, NewPipelineCells(sys, p))
 	if err != nil || err2 != nil || sat.Holds != satPlain.Holds {
 		t.Errorf("Satisfies diverges under recorder: %v/%v, %v/%v", sat, err, satPlain, err2)
 	}
@@ -62,7 +62,7 @@ func TestLemmaSpansRecorded(t *testing.T) {
 	sys := serverSystem(t)
 	p := FromFormula(ltl.MustParse("G F result"), nil)
 	tr := obs.NewTrace()
-	if _, err := CheckAllRec(tr, sys, p); err != nil {
+	if _, err := CheckAllCellsCtx(nil, tr, NewPipelineCells(sys, p), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,11 +144,11 @@ func TestSynthesisSpans(t *testing.T) {
 	sys := serverSystem(t)
 	p := FromFormula(ltl.MustParse("G F result"), nil)
 	tr := obs.NewTrace()
-	fi, err := SynthesizeFairImplementationRec(tr, sys, p)
+	fi, err := SynthesizeFairImplementation(tr, sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SynthesizeFairImplementation(sys, p)
+	plain, err := SynthesizeFairImplementation(nil, sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}

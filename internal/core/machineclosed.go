@@ -19,14 +19,10 @@ type MachineClosureResult struct {
 
 // MachineClosed decides whether (L_ω, Λ) is a machine closed live
 // structure (Definition 4.6): pre(L_ω) ⊆ pre(Λ). Both languages are
-// given as Büchi automata; Λ ⊆ L_ω is the caller's obligation.
-func MachineClosed(lomega, lambda *buchi.Buchi) (MachineClosureResult, error) {
-	return MachineClosedRec(nil, lomega, lambda)
-}
-
-// MachineClosedRec is MachineClosed with the two prefix constructions
-// and the inclusion check reported to rec.
-func MachineClosedRec(rec obs.Recorder, lomega, lambda *buchi.Buchi) (MachineClosureResult, error) {
+// given as Büchi automata; Λ ⊆ L_ω is the caller's obligation. The two
+// prefix constructions and the inclusion check are reported to rec; a
+// nil rec records nothing.
+func MachineClosed(rec obs.Recorder, lomega, lambda *buchi.Buchi) (MachineClosureResult, error) {
 	sp := obs.StartSpan(rec, "core.MachineClosed").
 		Tag("paper", "Definition 4.6: pre(L_ω) ⊆ pre(Λ)")
 	defer sp.End()
@@ -53,7 +49,7 @@ func MachineClosedRec(rec obs.Recorder, lomega, lambda *buchi.Buchi) (MachineClo
 // closed. It is a third, independent route to the same answer, used for
 // cross-validation and ablation benchmarks.
 func RelativeLivenessViaMachineClosure(sys *ts.System, p Property) (MachineClosureResult, error) {
-	pl := newPipeline(nil, sys, p)
+	pl := NewPipelineCells(sys, p).view(nil, nil)
 	trimmed, behaviors, err := pl.limits()
 	if err != nil {
 		return MachineClosureResult{}, fmt.Errorf("machine closure: %w", err)

@@ -42,12 +42,12 @@ func figureCases(t *testing.T) []struct {
 
 func TestCheckAllParMatchesSerialOnFigures(t *testing.T) {
 	for _, tc := range figureCases(t) {
-		serial, err := CheckAll(tc.sys, tc.p)
+		serial, err := CheckAllCellsCtx(nil, nil, NewPipelineCells(tc.sys, tc.p), 1)
 		if err != nil {
 			t.Fatalf("%s serial: %v", tc.name, err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			par, err := CheckAllPar(tc.sys, tc.p, workers)
+			par, err := CheckAllCellsCtx(nil, nil, NewPipelineCells(tc.sys, tc.p), workers)
 			if err != nil {
 				t.Fatalf("%s parallel(%d): %v", tc.name, workers, err)
 			}
@@ -70,8 +70,8 @@ func TestCheckAllParMatchesSerialRandomized(t *testing.T) {
 		sys := randomSystem(rng, gen.Letters(2), 4+rng.Intn(10))
 		for _, f := range formulas {
 			p := FromFormula(f, nil)
-			serial, serr := CheckAll(sys, p)
-			par, perr := CheckAllPar(sys, p, 4)
+			serial, serr := CheckAllCellsCtx(nil, nil, NewPipelineCells(sys, p), 1)
+			par, perr := CheckAllCellsCtx(nil, nil, NewPipelineCells(sys, p), 4)
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("trial %d %s: error mismatch: serial=%v parallel=%v", trial, f, serr, perr)
 			}
@@ -99,12 +99,12 @@ func TestCheckPortfolioMatchesSerial(t *testing.T) {
 	}
 	want := make([]*Report, len(props))
 	for i, p := range props {
-		if want[i], err = CheckAll(sys, p); err != nil {
+		if want[i], err = CheckAllCellsCtx(nil, nil, NewPipelineCells(sys, p), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, workers := range []int{0, 1, 2, 3, 16} {
-		got, err := CheckPortfolio(sys, props, workers)
+		got, err := CheckPortfolioCtx(nil, nil, sys, props, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -125,12 +125,12 @@ func TestCheckSystemsPortfolioMatchesSerial(t *testing.T) {
 	want := make([]*Report, len(systems))
 	for i, sys := range systems {
 		var err error
-		if want[i], err = CheckAll(sys, p); err != nil {
+		if want[i], err = CheckAllCellsCtx(nil, nil, NewPipelineCells(sys, p), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, workers := range []int{1, 3, 8} {
-		got, err := CheckSystemsPortfolio(systems, p, workers)
+		got, err := CheckSystemsPortfolioCtx(nil, nil, systems, p, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -151,7 +151,7 @@ func TestParallelCheckAllSingleFlight(t *testing.T) {
 	p := FromFormula(paper.PropertyInfResults(), nil)
 	for trial := 0; trial < 10; trial++ {
 		tr := obs.NewTrace()
-		if _, err := CheckAllParRec(tr, sys, p, 3); err != nil {
+		if _, err := CheckAllCellsCtx(nil, tr, NewPipelineCells(sys, p), 3); err != nil {
 			t.Fatal(err)
 		}
 		counts := map[string]int{}
@@ -182,7 +182,7 @@ func TestParallelSpanAttribution(t *testing.T) {
 	}
 	p := FromFormula(paper.PropertyInfResults(), nil)
 	tr := obs.NewTrace()
-	if _, err := CheckAllParRec(tr, sys, p, 3); err != nil {
+	if _, err := CheckAllCellsCtx(nil, tr, NewPipelineCells(sys, p), 3); err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()

@@ -65,14 +65,36 @@ func (c *propCell) negation(ctx context.Context, rec obs.Recorder) (*buchi.Buchi
 	})
 }
 
-// shared holds the single-flight artifact cells one (system, property)
-// check fans out over: lim(L), P→Büchi, ¬P, and pre(L∩P). Each cell is
-// built exactly once no matter which goroutine arrives first; the
-// instrumentation span for an artifact is emitted by (and attributed
-// to) whichever goroutine wins the race to build it. A builder whose
-// context is cancelled mid-build leaves the cell empty for the next
-// request (see cell).
-type shared struct {
+// SystemCells caches the system-only artifacts of the pipeline: the
+// trimmed system and its behavior automaton lim(L). One SystemCells
+// value may back many PipelineCells for different properties against
+// the same system. Safe for concurrent use.
+type SystemCells struct {
+	sys *ts.System
+	lim *limitsCell
+}
+
+// NewSystemCells wraps sys in a reusable single-flight artifact handle.
+func NewSystemCells(sys *ts.System) *SystemCells {
+	return &SystemCells{sys: sys, lim: newLimitsCell(sys)}
+}
+
+// System returns the underlying system. Serving layers that cache
+// SystemCells by structural hash parse properties against this system's
+// alphabet so all artifacts agree on symbol identity.
+func (sc *SystemCells) System() *ts.System { return sc.sys }
+
+// PipelineCells holds the single-flight artifact cells one (system,
+// property) check fans out over: lim(L), P→Büchi, ¬P, and pre(L∩P).
+// Each cell is built exactly once no matter which goroutine arrives
+// first; the instrumentation span for an artifact is emitted by (and
+// attributed to) whichever goroutine wins the race to build it. A
+// builder whose context is cancelled mid-build leaves the cell empty
+// for the next request (see cell). A serving layer keeps PipelineCells
+// alive across requests, so concurrent identical requests coalesce onto
+// one build and a cache hit skips the build entirely. Safe for
+// concurrent use.
+type PipelineCells struct {
 	sys  *ts.System
 	lim  *limitsCell
 	prop *propCell
@@ -80,79 +102,53 @@ type shared struct {
 	prod cell[*nfa.NFA] // pre(L∩P): trim(PrefixNFA(behaviors ∩ P))
 }
 
-// pipeline is one goroutine's view of a shared artifact set: the
-// single-flight cells plus the recorder this goroutine's spans go to
-// and the context its loops poll. The Section 4 decision procedures
-// (satisfaction, relative liveness, relative safety) each take a
-// pipeline; CheckAll hands all three the same shared cells so each
-// artifact — previously rebuilt by every procedure — is constructed
+// NewPipelineCells builds a fresh artifact set for (sys, p).
+func NewPipelineCells(sys *ts.System, p Property) *PipelineCells {
+	return NewPipelineCellsSharing(NewSystemCells(sys), p)
+}
+
+// NewPipelineCellsSharing builds an artifact set for property p that
+// shares sc's trimmed system and behavior automaton, so checking many
+// properties against one system trims it exactly once.
+func NewPipelineCellsSharing(sc *SystemCells, p Property) *PipelineCells {
+	return &PipelineCells{sys: sc.sys, lim: sc.lim, prop: &propCell{p: p, ab: sc.sys.Alphabet()}}
+}
+
+// pipeline is one goroutine's view of a PipelineCells: the cells plus
+// the recorder this goroutine's spans go to and the context its loops
+// poll. The Section 4 decision procedures (satisfaction, relative
+// liveness, relative safety) each take a pipeline; CheckAll hands all
+// three views of the same cells, so each artifact is constructed
 // exactly once per check, even when the three verdicts run
-// concurrently. A nil ctx never cancels (the plain serial path).
+// concurrently. A nil ctx never cancels.
 type pipeline struct {
-	ctx context.Context
-	rec obs.Recorder
-	sys *ts.System
-	p   Property
-	ops buchi.Ops
-	sh  *shared
+	ctx   context.Context
+	rec   obs.Recorder
+	ops   buchi.Ops
+	cells *PipelineCells
 }
 
-func newPipeline(rec obs.Recorder, sys *ts.System, p Property) *pipeline {
-	return newPipelineCtx(nil, rec, sys, p)
-}
-
-func newPipelineCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, p Property) *pipeline {
-	sh := &shared{
-		sys:  sys,
-		lim:  newLimitsCell(sys),
-		prop: &propCell{p: p, ab: sys.Alphabet()},
-	}
-	return &pipeline{ctx: ctx, rec: rec, sys: sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx}, sh: sh}
-}
-
-// newPipelineSharing builds a pipeline over pre-existing cells. Portfolio
-// checks use it to share lim(L) across properties (lim non-nil) or the
-// property automata across systems (prop non-nil); nil cells are created
-// fresh.
-func newPipelineSharing(ctx context.Context, rec obs.Recorder, sys *ts.System, p Property, lim *limitsCell, prop *propCell) *pipeline {
-	if lim == nil {
-		lim = newLimitsCell(sys)
-	}
-	if prop == nil {
-		prop = &propCell{p: p, ab: sys.Alphabet()}
-	}
-	return &pipeline{ctx: ctx, rec: rec, sys: sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx},
-		sh: &shared{sys: sys, lim: lim, prop: prop}}
-}
-
-// view returns a pipeline over the same shared cells whose spans are
-// reported to rec instead. CheckAll's parallel mode gives each verdict
-// goroutine its own per-worker view.
-func (pl *pipeline) view(rec obs.Recorder) *pipeline {
-	return &pipeline{ctx: pl.ctx, rec: rec, sys: pl.sys, p: pl.p, ops: buchi.Ops{Rec: rec, Ctx: pl.ctx}, sh: pl.sh}
-}
-
-// viewCells returns a pipeline over an externally cached shared-cell
-// set (see PipelineCells), attributing spans to rec and polling ctx.
-func viewCells(ctx context.Context, rec obs.Recorder, sh *shared, p Property) *pipeline {
-	return &pipeline{ctx: ctx, rec: rec, sys: sh.sys, p: p, ops: buchi.Ops{Rec: rec, Ctx: ctx}, sh: sh}
+// view returns a pipeline over pc whose loops poll ctx and whose spans
+// are reported to rec.
+func (pc *PipelineCells) view(ctx context.Context, rec obs.Recorder) *pipeline {
+	return &pipeline{ctx: ctx, rec: rec, ops: buchi.Ops{Rec: rec, Ctx: ctx}, cells: pc}
 }
 
 // limits returns the trimmed system and its behavior automaton lim(L).
 // A nil trimmed system (with nil error) signals the vacuous case: sys
 // has no infinite behavior at all.
 func (pl *pipeline) limits() (*ts.System, *buchi.Buchi, error) {
-	return pl.sh.lim.get(pl.ctx, pl.rec)
+	return pl.cells.lim.get(pl.ctx, pl.rec)
 }
 
 // property returns the Büchi automaton for P.
 func (pl *pipeline) property() (*buchi.Buchi, error) {
-	return pl.sh.prop.automaton(pl.ctx, pl.rec)
+	return pl.cells.prop.automaton(pl.ctx, pl.rec)
 }
 
 // negation returns the Büchi automaton for ¬P.
 func (pl *pipeline) negation() (*buchi.Buchi, error) {
-	return pl.sh.prop.negation(pl.ctx, pl.rec)
+	return pl.cells.prop.negation(pl.ctx, pl.rec)
 }
 
 // preProduct returns pre(L∩P), the prefix language of the reduced
@@ -161,7 +157,7 @@ func (pl *pipeline) negation() (*buchi.Buchi, error) {
 // states exactly when L_ω ∩ P = ∅. Must not be called in the vacuous
 // case (nil trimmed system).
 func (pl *pipeline) preProduct() (*nfa.NFA, error) {
-	return pl.sh.prod.get(pl.ctx, func() (*nfa.NFA, error) {
+	return pl.cells.prod.get(pl.ctx, func() (*nfa.NFA, error) {
 		_, behaviors, err := pl.limits()
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -9,63 +10,58 @@ import (
 	"relive/internal/ts"
 )
 
-// CheckPortfolio runs CheckAll for every property against one system on
-// a bounded worker pool of the given size. All properties share one
-// single-flight limits cell, so the system is trimmed and its behavior
-// automaton lim(L) built exactly once, by whichever worker gets there
-// first; everything property-specific (P→Büchi, ¬P, pre(L∩P)) is per
-// property. Reports come back in the order of props, with verdicts and
-// witnesses identical to running CheckAll serially per property.
-// workers <= 0 means one worker per property (fully concurrent, bounded
-// by GOMAXPROCS scheduling); workers == 1 is the serial path.
-func CheckPortfolio(sys *ts.System, props []Property, workers int) ([]*Report, error) {
-	return CheckPortfolioRec(nil, sys, props, workers)
-}
-
-// CheckPortfolioRec is CheckPortfolio reporting to rec. The pool opens
-// one "core.CheckPortfolio" root span; each property check runs under a
-// forked per-worker recorder whose top-level spans are tagged with the
-// worker name and parented under the root, so concurrent span trees stay
-// well-formed (see obs.ForkWorker).
-func CheckPortfolioRec(rec obs.Recorder, sys *ts.System, props []Property, workers int) ([]*Report, error) {
+// CheckPortfolioCtx runs CheckAll for every property against one
+// system on a bounded worker pool of the given size. All properties
+// share one single-flight SystemCells, so the system is trimmed and its
+// behavior automaton lim(L) built exactly once, by whichever worker
+// gets there first; everything property-specific (P→Büchi, ¬P,
+// pre(L∩P)) is per property. Reports come back in the order of props,
+// with verdicts and witnesses identical to running CheckAll serially
+// per property. workers <= 0 means one worker per property (fully
+// concurrent, bounded by GOMAXPROCS scheduling); workers == 1 is the
+// serial path.
+//
+// The pool opens one "core.CheckPortfolio" root span on rec; each
+// property check runs under a forked per-worker recorder whose
+// top-level spans are tagged with the worker name and parented under
+// the root, so concurrent span trees stay well-formed (see
+// obs.ForkWorker). Each worker's checks poll ctx, and jobs not yet
+// started when ctx expires are abandoned. The first error (preferring
+// a non-context one) is returned.
+func CheckPortfolioCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, props []Property, workers int) ([]*Report, error) {
 	sp := obs.StartSpan(rec, "core.CheckPortfolio").
 		Int("properties", int64(len(props)))
 	defer sp.End()
-	lim := newLimitsCell(sys)
+	sc := NewSystemCells(sys)
 	reports := make([]*Report, len(props))
 	errs := make([]error, len(props))
 	run := func(rec obs.Recorder, i int) {
-		pl := newPipelineSharing(nil, rec, sys, props[i], lim, nil)
+		if err := ctxErr(ctx); err != nil {
+			errs[i] = err
+			return
+		}
 		csp := obs.StartSpan(rec, "core.CheckAll").
 			Tag("paper", "Section 4 (cross-checked via Theorem 4.7)").
 			Tag("property", props[i].String())
-		reports[i], errs[i] = checkAllPipe(pl)
+		reports[i], errs[i] = checkAllPipe(NewPipelineCellsSharing(sc, props[i]).view(ctx, rec))
 		csp.End()
 	}
 	pool(rec, sp.ID(), len(props), workers, run)
 	sp.Int("workers", int64(poolSize(len(props), workers)))
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("portfolio property %d (%s): %w", i, props[i].String(), err)
-		}
-	}
-	return reports, nil
+	return reports, portfolioErr(errs, func(i int) string {
+		return fmt.Sprintf("portfolio property %d (%s)", i, props[i].String())
+	})
 }
 
-// CheckSystemsPortfolio runs CheckAll for one property against every
-// system on a bounded worker pool. Systems sharing an alphabet (by
-// pointer identity) share one single-flight property cell, so P→Büchi
-// and ¬P — for formula properties the potentially exponential LTL
-// translations — are built once per distinct alphabet rather than once
-// per system. Reports come back in the order of systems, identical to
-// the serial per-system results.
-func CheckSystemsPortfolio(systems []*ts.System, p Property, workers int) ([]*Report, error) {
-	return CheckSystemsPortfolioRec(nil, systems, p, workers)
-}
-
-// CheckSystemsPortfolioRec is CheckSystemsPortfolio reporting to rec,
-// with the same per-worker span attribution as CheckPortfolioRec.
-func CheckSystemsPortfolioRec(rec obs.Recorder, systems []*ts.System, p Property, workers int) ([]*Report, error) {
+// CheckSystemsPortfolioCtx runs CheckAll for one property against
+// every system on a bounded worker pool, with the same worker-count,
+// span-attribution and cancellation rules as CheckPortfolioCtx. Systems
+// sharing an alphabet (by pointer identity) share one single-flight
+// property cell, so P→Büchi and ¬P — for formula properties the
+// potentially exponential LTL translations — are built once per
+// distinct alphabet rather than once per system. Reports come back in
+// the order of systems, identical to the serial per-system results.
+func CheckSystemsPortfolioCtx(ctx context.Context, rec obs.Recorder, systems []*ts.System, p Property, workers int) ([]*Report, error) {
 	sp := obs.StartSpan(rec, "core.CheckSystemsPortfolio").
 		Int("systems", int64(len(systems)))
 	defer sp.End()
@@ -73,21 +69,41 @@ func CheckSystemsPortfolioRec(rec obs.Recorder, systems []*ts.System, p Property
 	reports := make([]*Report, len(systems))
 	errs := make([]error, len(systems))
 	run := func(rec obs.Recorder, i int) {
-		pl := newPipelineSharing(nil, rec, systems[i], p, nil, cells[systems[i].Alphabet()])
+		if err := ctxErr(ctx); err != nil {
+			errs[i] = err
+			return
+		}
+		sys := systems[i]
+		pc := &PipelineCells{sys: sys, lim: newLimitsCell(sys), prop: cells[sys.Alphabet()]}
 		csp := obs.StartSpan(rec, "core.CheckAll").
 			Tag("paper", "Section 4 (cross-checked via Theorem 4.7)").
 			Int("system", int64(i))
-		reports[i], errs[i] = checkAllPipe(pl)
+		reports[i], errs[i] = checkAllPipe(pc.view(ctx, rec))
 		csp.End()
 	}
 	pool(rec, sp.ID(), len(systems), workers, run)
 	sp.Int("workers", int64(poolSize(len(systems), workers)))
+	return reports, portfolioErr(errs, func(i int) string {
+		return fmt.Sprintf("portfolio system %d", i)
+	})
+}
+
+// portfolioErr reduces per-job errors to one: the first non-context
+// error if any (a deterministic failure outranks the cancellation that
+// tore the other jobs down), otherwise the first context error. The
+// reports slice is discarded by callers on a non-nil return.
+func portfolioErr(errs []error, label func(int) string) error {
 	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("portfolio system %d: %w", i, err)
+		if err != nil && !isContextError(err) {
+			return fmt.Errorf("%s: %w", label(i), err)
 		}
 	}
-	return reports, nil
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%s: %w", label(i), err)
+		}
+	}
+	return nil
 }
 
 // propCellsByAlphabet allocates one shared property cell per distinct

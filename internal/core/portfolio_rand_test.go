@@ -42,7 +42,7 @@ func TestQuickPortfolioRandomBatches(t *testing.T) {
 		var want []*Report
 		for len(props) < 3+rng.Intn(5) {
 			p := randomBatchProperty(rng, ab)
-			rep, err := CheckAll(sys, p)
+			rep, err := CheckAllCellsCtx(nil, nil, NewPipelineCells(sys, p), 1)
 			if err != nil {
 				continue
 			}
@@ -50,7 +50,7 @@ func TestQuickPortfolioRandomBatches(t *testing.T) {
 			want = append(want, rep)
 		}
 		for _, workers := range []int{0, 1, 2, 5} {
-			got, err := CheckPortfolio(sys, props, workers)
+			got, err := CheckPortfolioCtx(nil, nil, sys, props, workers)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
@@ -84,7 +84,7 @@ func TestQuickSystemsPortfolioRandomBatches(t *testing.T) {
 				ab = ab2
 			}
 			sys := gen.System(rng, ab, 3+rng.Intn(5), 0.25+0.4*rng.Float64())
-			rep, err := CheckAll(sys, p)
+			rep, err := CheckAllCellsCtx(nil, nil, NewPipelineCells(sys, p), 1)
 			if err != nil {
 				continue
 			}
@@ -92,7 +92,7 @@ func TestQuickSystemsPortfolioRandomBatches(t *testing.T) {
 			want = append(want, rep)
 		}
 		for _, workers := range []int{0, 1, 3} {
-			got, err := CheckSystemsPortfolio(systems, p, workers)
+			got, err := CheckSystemsPortfolioCtx(nil, nil, systems, p, workers)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}

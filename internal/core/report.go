@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync"
 
 	"relive/internal/obs"
 	"relive/internal/ts"
@@ -33,54 +35,85 @@ type Report struct {
 	Statistical *StatisticalReport `json:"statistical,omitempty"`
 }
 
-// CheckAll runs satisfaction, relative liveness and relative safety and
-// cross-checks Theorem 4.7 (satisfied ⟺ RL ∧ RS) as an internal
-// consistency assertion.
-func CheckAll(sys *ts.System, p Property) (*Report, error) {
-	return CheckAllRec(nil, sys, p)
-}
-
-// CheckAllRec is CheckAll with all three decision procedures reported
-// to rec under one "core.CheckAll" root span. The three procedures run
-// over one shared pipeline, so the behavior automaton, the property
-// automaton and its negation, and the pre(L∩P) product are each built
-// once instead of once per procedure.
-func CheckAllRec(rec obs.Recorder, sys *ts.System, p Property) (*Report, error) {
-	sp := obs.StartSpan(rec, "core.CheckAll").
-		Tag("paper", "Section 4 (cross-checked via Theorem 4.7)")
-	defer sp.End()
-	return checkAllPipe(newPipeline(rec, sys, p))
-}
-
-// CheckAllPar is CheckAllParRec with recording off.
-func CheckAllPar(sys *ts.System, p Property, workers int) (*Report, error) {
-	return CheckAllParRec(nil, sys, p, workers)
-}
-
-// CheckAllParRec runs the three Section 4 decision procedures
-// concurrently, one goroutine per verdict, over one shared
-// single-flight pipeline: whichever goroutine needs lim(L), P→Büchi,
-// ¬P, or pre(L∩P) first builds it, the others block on the sync.Once
-// and reuse it. Verdicts and witnesses are identical to CheckAllRec —
-// every artifact and every witness search is deterministic, and
-// single-flight construction makes the artifact values independent of
-// goroutine arrival order. Spans are attributed per goroutine:
-// each verdict runs under a forked per-worker recorder (obs.ForkWorker)
-// whose top-level spans carry a "worker" tag and parent under the
-// "core.CheckAll" root. workers <= 1 falls back to the serial path.
-func CheckAllParRec(rec obs.Recorder, sys *ts.System, p Property, workers int) (*Report, error) {
-	if workers <= 1 {
-		return CheckAllRec(rec, sys, p)
+// CheckAllCellsCtx runs satisfaction, relative liveness and relative
+// safety over one artifact set and cross-checks Theorem 4.7
+// (satisfied ⟺ RL ∧ RS) as an internal consistency assertion. All three
+// procedures are reported to rec under one "core.CheckAll" root span
+// and share pc's single-flight cells, so the behavior automaton, the
+// property automaton and its negation, and the pre(L∩P) product are
+// each built once instead of once per procedure. Callers holding a
+// (sys, p) pair pass NewPipelineCells(sys, p).
+//
+// workers > 1 runs the three verdicts concurrently, one goroutine per
+// verdict: whichever goroutine needs an artifact first builds it, the
+// others wait for it. Verdicts and witnesses are identical to the
+// serial run — every artifact and every witness search is
+// deterministic, and single-flight construction makes the artifact
+// values independent of goroutine arrival order. Each verdict then runs
+// under a forked per-worker recorder (obs.ForkWorker) whose top-level
+// spans carry a "worker" tag and parent under the root.
+//
+// ctx is polled by the reachability, product, subset-construction and
+// emptiness loops; on cancellation the returned error wraps ctx.Err().
+// A nil ctx never cancels and a nil rec records nothing.
+func CheckAllCellsCtx(ctx context.Context, rec obs.Recorder, pc *PipelineCells, workers int) (*Report, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, fmt.Errorf("core: check all: %w", err)
 	}
 	sp := obs.StartSpan(rec, "core.CheckAll").
-		Tag("paper", "Section 4 (cross-checked via Theorem 4.7)").
-		Tag("mode", "parallel")
+		Tag("paper", "Section 4 (cross-checked via Theorem 4.7)")
+	if workers > 1 {
+		sp.Tag("mode", "parallel")
+	}
 	defer sp.End()
-	return checkAllPar(newPipeline(rec, sys, p), rec, sp)
+	if workers <= 1 {
+		return checkAllPipe(pc.view(ctx, rec))
+	}
+	return checkAllPar(ctx, rec, pc, sp)
+}
+
+// checkAllPar fans the three verdicts out onto one goroutine each over
+// pc's cells, attributing spans per worker.
+func checkAllPar(ctx context.Context, rec obs.Recorder, pc *PipelineCells, sp obs.Span) (*Report, error) {
+	var (
+		wg   sync.WaitGroup
+		sat  SatisfactionResult
+		rl   LivenessResult
+		rs   SafetyResult
+		errs [3]error
+	)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		sat, errs[0] = satisfiesPipe(pc.view(ctx, obs.ForkWorker(rec, "satisfies", sp.ID())))
+	}()
+	go func() {
+		defer wg.Done()
+		rl, errs[1] = relativeLivenessPipe(pc.view(ctx, obs.ForkWorker(rec, "rel-liveness", sp.ID())))
+	}()
+	go func() {
+		defer wg.Done()
+		rs, errs[2] = relativeSafetyPipe(pc.view(ctx, obs.ForkWorker(rec, "rel-safety", sp.ID())))
+	}()
+	wg.Wait()
+	// A genuine verdict error outranks a cancellation: when one verdict
+	// fails deterministically while the cancellation tears the others
+	// down, report the deterministic failure.
+	for _, err := range errs {
+		if err != nil && !isContextError(err) {
+			return nil, err
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return assembleReport(pc.sys, pc.prop.p, sat, rl, rs)
 }
 
 // checkAllPipe runs the three verdicts serially over pl and assembles
-// the report. CheckAllRec and the portfolio workers share it.
+// the report. CheckAllCellsCtx and the portfolio workers share it.
 func checkAllPipe(pl *pipeline) (*Report, error) {
 	sat, err := satisfiesPipe(pl)
 	if err != nil {
@@ -94,7 +127,7 @@ func checkAllPipe(pl *pipeline) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assembleReport(pl.sys, pl.p, sat, rl, rs)
+	return assembleReport(pl.cells.sys, pl.cells.prop.p, sat, rl, rs)
 }
 
 // assembleReport cross-checks Theorem 4.7 and renders the three results

@@ -16,7 +16,7 @@ func TestCheckAllOnFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := CheckAll(sys, FromFormula(paper.PropertyInfResults(), nil))
+	r, err := CheckAllCellsCtx(nil, nil, NewPipelineCells(sys, FromFormula(paper.PropertyInfResults(), nil)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestCheckAllOnFig2(t *testing.T) {
 }
 
 func TestCheckAllBadPrefixOnFig3(t *testing.T) {
-	r, err := CheckAll(paper.Fig3System(), FromFormula(paper.PropertyInfResults(), nil))
+	r, err := CheckAllCellsCtx(nil, nil, NewPipelineCells(paper.Fig3System(), FromFormula(paper.PropertyInfResults(), nil)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

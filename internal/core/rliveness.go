@@ -21,8 +21,8 @@ type LivenessResult struct {
 	BadPrefix word.Word
 }
 
-// RelativeLiveness decides whether p is a relative liveness property of
-// the system's behaviors lim(L) (Definition 4.1), via the
+// RelativeLivenessCellsCtx decides whether p is a relative liveness
+// property of the system's behaviors lim(L) (Definition 4.1), via the
 // characterization of Lemma 4.3:
 //
 //	pre(L_ω) = pre(L_ω ∩ P).
@@ -32,16 +32,18 @@ type LivenessResult struct {
 // of the behaviors with the property automaton. The inclusion
 // pre(L_ω ∩ P) ⊆ pre(L_ω) always holds, so only the converse is
 // checked, and a failure yields the BadPrefix witness.
-func RelativeLiveness(sys *ts.System, p Property) (LivenessResult, error) {
-	return RelativeLivenessRec(nil, sys, p)
-}
-
-// RelativeLivenessRec is RelativeLiveness with every phase reported to
-// rec: the behavior construction, the property translation, the
-// pre(L∩P) product, and the Lemma 4.3 inclusion check, each with
-// automaton sizes and durations. A nil rec is the uninstrumented path.
-func RelativeLivenessRec(rec obs.Recorder, sys *ts.System, p Property) (LivenessResult, error) {
-	return relativeLivenessPipe(newPipeline(rec, sys, p))
+//
+// The artifacts come from pc (NewPipelineCells(sys, p) for a one-off
+// check). Every phase — the behavior construction, the property
+// translation, the pre(L∩P) product, and the Lemma 4.3 inclusion
+// check — is reported to rec with automaton sizes and durations. ctx is
+// polled inside the loops and the returned error wraps ctx.Err() when
+// cancelled. A nil ctx never cancels and a nil rec records nothing.
+func RelativeLivenessCellsCtx(ctx context.Context, rec obs.Recorder, pc *PipelineCells) (LivenessResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return LivenessResult{}, fmt.Errorf("relative liveness: %w", err)
+	}
+	return relativeLivenessPipe(pc.view(ctx, rec))
 }
 
 // relativeLivenessPipe is the Lemma 4.3 check over a (possibly shared)

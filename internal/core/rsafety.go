@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"relive/internal/obs"
@@ -18,9 +19,9 @@ type SafetyResult struct {
 	Violation word.Lasso
 }
 
-// RelativeSafety decides whether p is a relative safety property of the
-// system's behaviors (Definition 4.2), via the characterization of
-// Lemma 4.4:
+// RelativeSafetyCellsCtx decides whether p is a relative safety
+// property of the system's behaviors (Definition 4.2), via the
+// characterization of Lemma 4.4:
 //
 //	L_ω ∩ lim(pre(L_ω ∩ P)) ⊆ P.
 //
@@ -28,16 +29,18 @@ type SafetyResult struct {
 // limit of the prefix language of L_ω ∩ P; inclusion in P is checked by
 // intersecting with ¬P (for formulas, the translated negation; for
 // automata, the rank-based complement).
-func RelativeSafety(sys *ts.System, p Property) (SafetyResult, error) {
-	return RelativeSafetyRec(nil, sys, p)
-}
-
-// RelativeSafetyRec is RelativeSafety with every phase reported to rec:
-// the pre(L∩P) product, its limit closure, the negation automaton, and
-// the final emptiness check of Lemma 4.4. A nil rec is the
-// uninstrumented path.
-func RelativeSafetyRec(rec obs.Recorder, sys *ts.System, p Property) (SafetyResult, error) {
-	return relativeSafetyPipe(newPipeline(rec, sys, p))
+//
+// The artifacts come from pc (NewPipelineCells(sys, p) for a one-off
+// check). Every phase — the pre(L∩P) product, its limit closure, the
+// negation automaton, and the final emptiness check of Lemma 4.4 — is
+// reported to rec. ctx is polled inside the loops and the returned
+// error wraps ctx.Err() when cancelled. A nil ctx never cancels and a
+// nil rec records nothing.
+func RelativeSafetyCellsCtx(ctx context.Context, rec obs.Recorder, pc *PipelineCells) (SafetyResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return SafetyResult{}, fmt.Errorf("relative safety: %w", err)
+	}
+	return relativeSafetyPipe(pc.view(ctx, rec))
 }
 
 // relativeSafetyPipe is the Lemma 4.4 check over a (possibly shared)
@@ -101,18 +104,21 @@ type SatisfactionResult struct {
 	Counterexample word.Lasso
 }
 
-// Satisfies decides L_ω ⊆ P (Definition 3.2) directly, by emptiness of
-// behaviors ∩ ¬P. Theorem 4.7 states this is equivalent to p being both
-// a relative liveness and a relative safety property; the equivalence is
-// exercised by the test suite.
-func Satisfies(sys *ts.System, p Property) (SatisfactionResult, error) {
-	return SatisfiesRec(nil, sys, p)
-}
-
-// SatisfiesRec is Satisfies with the negation construction and the
-// emptiness check of L ∩ ¬P reported to rec.
-func SatisfiesRec(rec obs.Recorder, sys *ts.System, p Property) (SatisfactionResult, error) {
-	return satisfiesPipe(newPipeline(rec, sys, p))
+// SatisfiesCellsCtx decides L_ω ⊆ P (Definition 3.2) directly, by
+// emptiness of behaviors ∩ ¬P. Theorem 4.7 states this is equivalent to
+// p being both a relative liveness and a relative safety property; the
+// equivalence is exercised by the test suite.
+//
+// The artifacts come from pc (NewPipelineCells(sys, p) for a one-off
+// check); the negation construction and the emptiness check of L ∩ ¬P
+// are reported to rec. ctx is polled inside the loops and the returned
+// error wraps ctx.Err() when cancelled. A nil ctx never cancels and a
+// nil rec records nothing.
+func SatisfiesCellsCtx(ctx context.Context, rec obs.Recorder, pc *PipelineCells) (SatisfactionResult, error) {
+	if err := ctxErr(ctx); err != nil {
+		return SatisfactionResult{}, fmt.Errorf("satisfaction: %w", err)
+	}
+	return satisfiesPipe(pc.view(ctx, rec))
 }
 
 // satisfiesPipe is the Definition 3.2 check over a (possibly shared)
@@ -153,14 +159,15 @@ func satisfiesPipe(pl *pipeline) (SatisfactionResult, error) {
 // safety property. Exposed as an alternative algorithm for
 // cross-validation and ablation benchmarks.
 func SatisfiesViaConjunction(sys *ts.System, p Property) (bool, error) {
-	rl, err := RelativeLiveness(sys, p)
+	pc := NewPipelineCells(sys, p)
+	rl, err := RelativeLivenessCellsCtx(nil, nil, pc)
 	if err != nil {
 		return false, err
 	}
 	if !rl.Holds {
 		return false, nil
 	}
-	rs, err := RelativeSafety(sys, p)
+	rs, err := RelativeSafetyCellsCtx(nil, nil, pc)
 	if err != nil {
 		return false, err
 	}

@@ -20,7 +20,7 @@ func TestQuickRSThreeRoutesAgree(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
-		r1, err := RelativeSafety(sys, p)
+		r1, err := RelativeSafetyCellsCtx(nil, nil, NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}

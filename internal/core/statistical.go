@@ -98,29 +98,15 @@ func (r *StatisticalReport) Witness() (word.Lasso, bool) {
 	return r.lasso, r.Verdict == StatVerdictFails
 }
 
-// CheckStatistical estimates whether almost all runs of sys satisfy p
-// by uniform random-walk sampling; see StatisticalReport for the
-// verdict semantics.
-func CheckStatistical(sys *ts.System, p Property, o StatOptions) (*StatisticalReport, error) {
-	return CheckStatisticalRec(nil, sys, p, o)
-}
-
-// CheckStatisticalRec is CheckStatistical with the trim phase and the
-// sampling sweep reported to rec ("lim(L)" and "mc.sample" spans,
-// mc.samples/mc.settled/mc.hits counters).
-func CheckStatisticalRec(rec obs.Recorder, sys *ts.System, p Property, o StatOptions) (*StatisticalReport, error) {
-	return CheckStatisticalCells(nil, rec, NewSystemCells(sys), p, o)
-}
-
-// CheckStatisticalCtx is CheckStatistical with cooperative
-// cancellation; the returned error wraps ctx.Err() when cancelled.
-func CheckStatisticalCtx(ctx context.Context, rec obs.Recorder, sys *ts.System, p Property, o StatOptions) (*StatisticalReport, error) {
-	return CheckStatisticalCells(ctx, rec, NewSystemCells(sys), p, o)
-}
-
-// CheckStatisticalCells is CheckStatisticalCtx over a pre-existing
-// (possibly cached) system artifact set, so a serving layer shares the
-// trimmed system with the other endpoints' checks. Sampling walks the
+// CheckStatisticalCells estimates whether almost all runs of the system
+// satisfy p by uniform random-walk sampling; see StatisticalReport for
+// the verdict semantics. The system comes from sc (NewSystemCells(sys)
+// for a one-off check), so a serving layer shares the trimmed system
+// with the other endpoints' checks. The trim phase and the sampling
+// sweep are reported to rec ("lim(L)" and "mc.sample" spans,
+// mc.samples/mc.settled/mc.hits counters). ctx is polled between and
+// inside the walks; the returned error wraps ctx.Err() when cancelled.
+// A nil ctx never cancels and a nil rec records nothing. Sampling walks the
 // *trimmed* system: dead ends are impossible there, and trimming
 // preserves behaviors, so sampled counterexamples are behaviors of the
 // original system.

@@ -20,7 +20,7 @@ func TestQuickTopologicalRoutesAgree(t *testing.T) {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := FromFormula(randomPropertyFormula(rng, atoms), nil)
 
-		rl, err := RelativeLiveness(sys, p)
+		rl, err := RelativeLivenessCellsCtx(nil, nil, NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestQuickTopologicalRoutesAgree(t *testing.T) {
 				trial, rl.Holds, rlTop.Holds, p, sys.FormatString())
 		}
 
-		rs, err := RelativeSafety(sys, p)
+		rs, err := RelativeSafetyCellsCtx(nil, nil, NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,7 +117,7 @@ func E12FeatureInteraction() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	badDirect, err := core.RelativeLiveness(bad, badConcrete)
+	badDirect, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(bad, badConcrete))
 	if err != nil {
 		return Result{}, err
 	}
@@ -129,8 +129,8 @@ func E12FeatureInteraction() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	goodSat, err := core.Satisfies(good, core.FromFormula(ltl.MustParse(
-		"G (call -> F (answer | fwdanswer | record))"), nil))
+	goodProp := core.FromFormula(ltl.MustParse("G (call -> F (answer | fwdanswer | record))"), nil)
+	goodSat, err := core.SatisfiesCellsCtx(nil, nil, core.NewPipelineCells(good, goodProp))
 	if err != nil {
 		return Result{}, err
 	}

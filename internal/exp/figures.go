@@ -45,16 +45,16 @@ func E2Fig2RelativeLiveness() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	p := core.FromFormula(paper.PropertyInfResults(), nil)
-	sat, err := core.Satisfies(sys, p)
+	pc := core.NewPipelineCells(sys, core.FromFormula(paper.PropertyInfResults(), nil))
+	sat, err := core.SatisfiesCellsCtx(nil, nil, pc)
 	if err != nil {
 		return Result{}, err
 	}
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLivenessCellsCtx(nil, nil, pc)
 	if err != nil {
 		return Result{}, err
 	}
-	rs, err := core.RelativeSafety(sys, p)
+	rs, err := core.RelativeSafetyCellsCtx(nil, nil, pc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -78,7 +78,7 @@ func E2Fig2RelativeLiveness() (Result, error) {
 func E3Fig3NotRelativeLiveness() (Result, error) {
 	sys := paper.Fig3System()
 	p := core.FromFormula(paper.PropertyInfResults(), nil)
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 	if err != nil {
 		return Result{}, err
 	}
@@ -129,7 +129,8 @@ func E4Fig4Abstraction() (Result, error) {
 	img3 := paper.AbstractionHom(fig3).ImageNFA(a3).Determinize().Minimize()
 	sameLang := img2.NumStates() == img3.NumStates() && nfa.EquivalentDFA(img2, renameDFA(img3, img2)) // see renameDFA
 
-	rl, err := core.RelativeLiveness(fig4, core.FromFormula(paper.PropertyInfResults(), nil))
+	p := core.FromFormula(paper.PropertyInfResults(), nil)
+	rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(fig4, p))
 	if err != nil {
 		return Result{}, err
 	}
@@ -250,7 +251,7 @@ func E6RbarTransform() (Result, error) {
 func E7FairImplementation() (Result, error) {
 	sys := paper.Section5System()
 	p := core.FromFormula(paper.Section5Property(), nil)
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 	if err != nil {
 		return Result{}, err
 	}
@@ -258,7 +259,7 @@ func E7FairImplementation() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	fi, err := core.SynthesizeFairImplementation(sys, p)
+	fi, err := core.SynthesizeFairImplementation(nil, sys, p)
 	if err != nil {
 		return Result{}, err
 	}

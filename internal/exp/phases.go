@@ -45,10 +45,11 @@ func PhaseDistributions(trials int) ([]PhaseQuantiles, error) {
 	for t := 0; t < trials; t++ {
 		sys := randomSystem(rng, ab, 4+rng.Intn(29))
 		tr := obs.NewTrace()
-		if _, err := core.CheckAllRec(tr, sys, props[t%len(props)]); err != nil {
+		p := props[t%len(props)]
+		if _, err := core.CheckAllCellsCtx(nil, tr, core.NewPipelineCells(sys, p), 1); err != nil {
 			return nil, err
 		}
-		if _, err := core.CheckStatisticalRec(tr, sys, props[t%len(props)],
+		if _, err := core.CheckStatisticalCells(nil, tr, core.NewSystemCells(sys), p,
 			core.StatOptions{Seed: int64(t), Samples: 40, Steps: 64, Workers: 1}); err != nil {
 			return nil, err
 		}

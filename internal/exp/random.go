@@ -138,7 +138,7 @@ func E9ConjunctionTheorem(samples int) (Result, error) {
 	for i := 0; i < samples; i++ {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := core.FromFormula(randomGeneralFormula(rng, atoms, 3), nil)
-		direct, err := core.Satisfies(sys, p)
+		direct, err := core.SatisfiesCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			return Result{}, err
 		}
@@ -171,7 +171,7 @@ func E10MachineClosure(samples int) (Result, error) {
 	for i := 0; i < samples; i++ {
 		sys := randomSystem(rng, ab, 1+rng.Intn(4))
 		p := core.FromFormula(randomGeneralFormula(rng, atoms, 3), nil)
-		rl, err := core.RelativeLiveness(sys, p)
+		rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			return Result{}, err
 		}
@@ -196,7 +196,7 @@ func E10MachineClosure(samples int) (Result, error) {
 		if rl.Holds == topo.Holds {
 			agreeTopo++
 		}
-		rs, err := core.RelativeSafety(sys, p)
+		rs, err := core.RelativeSafetyCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			return Result{}, err
 		}

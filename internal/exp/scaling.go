@@ -140,7 +140,7 @@ func scalePoint(rng *rand.Rand, ab *alphabet.Alphabet, n int, p core.Property, t
 	for t := 0; t < trials; t++ {
 		sys := randomSystem(rng, ab, n)
 		start := time.Now()
-		res, err := core.RelativeLiveness(sys, p)
+		res, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			return ScalingPoint{}, err
 		}

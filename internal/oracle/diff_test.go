@@ -108,13 +108,13 @@ func genPairCase(rng *rand.Rand, ab *alphabet.Alphabet, shape diffShape) (pairCa
 // agree. It is both the test body and the shrinking predicate.
 func diffFailure(sys *ts.System, c pairCase, words []word.Word, lassos []word.Lasso) string {
 	ab := sys.Alphabet()
-	rep, err := core.CheckAll(sys, c.coreP)
+	rep, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, c.coreP), 1)
 	if err != nil {
 		return fmt.Sprintf("CheckAll: %v", err)
 	}
-	repPar, err := core.CheckAllPar(sys, c.coreP, 4)
+	repPar, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, c.coreP), 4)
 	if err != nil {
-		return fmt.Sprintf("CheckAllPar: %v", err)
+		return fmt.Sprintf("CheckAllCellsCtx(workers=4): %v", err)
 	}
 	if rep.Satisfied != repPar.Satisfied ||
 		rep.RelativeLiveness != repPar.RelativeLiveness ||
@@ -125,15 +125,15 @@ func diffFailure(sys *ts.System, c pairCase, words []word.Word, lassos []word.La
 	}
 
 	// Typed witnesses for the oracle's exact confirmations.
-	sat, err := core.Satisfies(sys, c.coreP)
+	sat, err := core.SatisfiesCellsCtx(nil, nil, core.NewPipelineCells(sys, c.coreP))
 	if err != nil {
 		return fmt.Sprintf("Satisfies: %v", err)
 	}
-	rl, err := core.RelativeLiveness(sys, c.coreP)
+	rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, c.coreP))
 	if err != nil {
 		return fmt.Sprintf("RelativeLiveness: %v", err)
 	}
-	rs, err := core.RelativeSafety(sys, c.coreP)
+	rs, err := core.RelativeSafetyCellsCtx(nil, nil, core.NewPipelineCells(sys, c.coreP))
 	if err != nil {
 		return fmt.Sprintf("RelativeSafety: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestDifferentialCoreVsOracle(t *testing.T) {
 				checked, *seedFlag, diffFailure(small, c, words, lassos), c.desc, small.FormatString())
 		}
 		checked++
-		rep, _ := core.CheckAll(c.sys, c.coreP)
+		rep, _ := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(c.sys, c.coreP), 1)
 		if rep != nil {
 			if rep.Satisfied {
 				stats["satisfied"]++

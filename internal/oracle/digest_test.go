@@ -50,7 +50,7 @@ func TestReportDigestPinned(t *testing.T) {
 			skipped++
 		} else {
 			p := core.FromFormula(f, nil)
-			rep, err := core.CheckAll(sys, p)
+			rep, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, p), 1)
 			if err == nil && (len(rep.Counterexample) > 0 || len(rep.BadPrefix) > 0 || len(rep.Violation) > 0) {
 				witnesses++
 			}
@@ -84,7 +84,8 @@ func TestReportDigestPinned(t *testing.T) {
 			reports++
 		}
 		for _, kind := range []fairness.Kind{fairness.Strong, fairness.Weak} {
-			rep, err := core.CheckFairAbstract(sys, h, kind, core.FromFormula(eta, ltl.Canonical(h.Dest())))
+			rep, err := core.CheckFairAbstractCells(nil, nil, core.NewSystemCells(sys), h, kind,
+				core.FromFormula(eta, ltl.Canonical(h.Dest())))
 			if err == nil && len(rep.ViolationLoop) > 0 {
 				witnesses++
 			}
@@ -250,10 +251,10 @@ func TestSCCDigestPinned(t *testing.T) {
 			}
 			p = core.FromAutomaton(b)
 		}
-		rep, err := core.CheckAll(sys, p)
+		rep, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, p), 1)
 		writeDigest(t, d, i, "all", rep, err)
 		entries++
-		if impl, err := core.SynthesizeFairImplementation(sys, p); err == nil {
+		if impl, err := core.SynthesizeFairImplementation(nil, sys, p); err == nil {
 			writeDigest(t, d, i, "synthesized-bottom-marks", []any{impl.System.NumStates(), impl.BottomSCCsContainMarks()}, nil)
 			entries++
 		}

@@ -40,15 +40,15 @@ func TestLawTheorem47(t *testing.T) {
 	rng := newRng(101)
 	for trial := 0; trial < 200; trial++ {
 		sys, p, _, desc := lawPair(rng)
-		sat, err := core.Satisfies(sys, p)
+		sat, err := core.SatisfiesCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rl, err := core.RelativeLiveness(sys, p)
+		rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rs, err := core.RelativeSafety(sys, p)
+		rs, err := core.RelativeSafetyCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -76,7 +76,7 @@ func TestLawLemma43Direct(t *testing.T) {
 	rng := newRng(102)
 	for trial := 0; trial < 150; trial++ {
 		sys, p, op, desc := lawPair(rng)
-		lemma, err := core.RelativeLiveness(sys, p)
+		lemma, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -112,7 +112,7 @@ func TestLawLemma44Direct(t *testing.T) {
 	rng := newRng(103)
 	for trial := 0; trial < 150; trial++ {
 		sys, p, op, desc := lawPair(rng)
-		lemma, err := core.RelativeSafety(sys, p)
+		lemma, err := core.RelativeSafetyCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -149,7 +149,7 @@ func TestLawDef46MachineClosure(t *testing.T) {
 	rng := newRng(104)
 	for trial := 0; trial < 120; trial++ {
 		sys, p, op, desc := lawPair(rng)
-		rl, err := core.RelativeLiveness(sys, p)
+		rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -180,7 +180,7 @@ func TestLawDef46MachineClosure(t *testing.T) {
 		lomega := gen.Buchi(rng, gen.Config{States: 3, Density: 0.5, AcceptRatio: 0.5}, ab)
 		other := gen.Buchi(rng, gen.Config{States: 2, Density: 0.5, AcceptRatio: 0.5}, ab)
 		lambda := buchi.Intersect(lomega, other)
-		got, err := core.MachineClosed(lomega, lambda)
+		got, err := core.MachineClosed(nil, lomega, lambda)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -292,7 +292,7 @@ func TestLawTheorem82_83Abstraction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rl, err := core.RelativeLiveness(sys, concrete)
+		rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, concrete))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -40,27 +40,32 @@ type cluster struct {
 	rs       *httptest.Server
 }
 
-// startBackend boots one rlserve replica over the shared store dir.
-func startBackend(t *testing.T, dir string) *clusterBackend {
+// startBackend boots one rlserve replica over the shared store dir;
+// wrap, when non-nil, wraps its handler.
+func startBackend(t *testing.T, dir string, wrap func(http.Handler) http.Handler) *clusterBackend {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := serve.New(serve.Config{Store: st})
-	hs := httptest.NewServer(s.Handler())
+	h := s.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	hs := httptest.NewServer(h)
 	t.Cleanup(hs.Close)
 	return &clusterBackend{s: s, hs: hs}
 }
 
 // startCluster boots n replicas over one store dir plus a router with a
-// fast health probe, and waits until the router sees every backend.
-func startCluster(t *testing.T, n int) *cluster {
+// fast health probe; wrap, when non-nil, wraps every backend handler.
+func startCluster(t *testing.T, n int, wrap func(http.Handler) http.Handler) *cluster {
 	t.Helper()
 	c := &cluster{dir: t.TempDir()}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		b := startBackend(t, c.dir)
+		b := startBackend(t, c.dir, wrap)
 		c.backends = append(c.backends, b)
 		urls[i] = b.hs.URL
 	}
@@ -187,7 +192,7 @@ func bigPortfolio() serve.PortfolioRequest {
 // produce byte-identical bodies — the router's core contract.
 func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 	_, single := newTestServer(t, serve.Config{})
-	c := startCluster(t, 3)
+	c := startCluster(t, 3, nil)
 
 	for i, req := range clusterBattery() {
 		wantStatus, _, wantBody := postFull(t, single.URL+"/v1/check/"+req.endpoint, req.body)
@@ -235,16 +240,34 @@ func TestClusterBitIdenticalToSingleNode(t *testing.T) {
 
 // TestClusterCoalescing: many concurrent identical expensive requests
 // through the router collapse into ONE backend check; everyone shares
-// the same bytes.
+// the same bytes. The backends hold the proxied check until all n
+// requests have joined the router's in-flight cell, so a request whose
+// decode of the large body finishes late still finds the flight open.
 func TestClusterCoalescing(t *testing.T) {
-	c := startCluster(t, 3)
+	const n = 120
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	gate := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/check/all" {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+	c := startCluster(t, 3, gate)
+	t.Cleanup(open) // runs before the servers close, even after t.Fatal
 	req := serve.CheckRequest{System: bigSystemText(2500), LTL: slowLTL}
 	data, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const n = 120
 	type result struct {
 		status    int
 		coalesced bool
@@ -277,6 +300,14 @@ func TestClusterCoalescing(t *testing.T) {
 		}(i)
 	}
 	close(start)
+	deadline := time.Now().Add(30 * time.Second)
+	for c.router.FlightWaiters() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d requests joined the in-flight check within 30s", c.router.FlightWaiters(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	open()
 	wg.Wait()
 
 	coalesced := 0
@@ -309,7 +340,7 @@ func TestClusterCoalescing(t *testing.T) {
 // straight from the shared store; restart the backend on the same port
 // and it rejoins warm.
 func TestClusterFailoverAndWarmStore(t *testing.T) {
-	c := startCluster(t, 3)
+	c := startCluster(t, 3, nil)
 	battery := clusterBattery()
 
 	type answer struct {
@@ -550,7 +581,7 @@ func TestClusterStoreCorruptionRecomputes(t *testing.T) {
 // TestRouterHealthzAndMetrics: the router's own observability surface
 // reflects the cluster.
 func TestRouterHealthzAndMetrics(t *testing.T) {
-	c := startCluster(t, 3)
+	c := startCluster(t, 3, nil)
 	_, _, _ = postFull(t, c.rs.URL+"/v1/check/all", serve.CheckRequest{System: serverText, LTL: "G F result"})
 
 	resp, err := http.Get(c.rs.URL + "/healthz")

@@ -16,7 +16,7 @@ func TestWellIntegratedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sat, err := core.Satisfies(sys, p)
+	sat, err := core.SatisfiesCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestWellIntegratedPipeline(t *testing.T) {
 		t.Error("service guarantee satisfied without fairness despite the bounce loop")
 	}
 	// But it is a relative liveness property.
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestMisintegratedBugDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := core.RelativeLiveness(sys, p)
+	rl, err := core.RelativeLivenessCellsCtx(nil, nil, core.NewPipelineCells(sys, p))
 	if err != nil {
 		t.Fatal(err)
 	}

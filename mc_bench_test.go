@@ -53,7 +53,7 @@ func BenchmarkStatisticalVsExact(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/sampled", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := core.CheckStatistical(sys, p,
+				rep, err := core.CheckStatisticalCells(nil, nil, core.NewSystemCells(sys), p,
 					core.StatOptions{Seed: 1, Samples: 100, Steps: 128, Workers: 1})
 				if err != nil || rep.Verdict == core.StatVerdictFails {
 					b.Fatalf("verdict %v, %v", rep.Verdict, err)
@@ -85,7 +85,7 @@ func BenchmarkStatisticalBudget(b *testing.B) {
 		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CheckStatistical(sys, p,
+				if _, err := core.CheckStatisticalCells(nil, nil, core.NewSystemCells(sys), p,
 					core.StatOptions{Seed: 1, Samples: samples, Steps: 128, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func BenchmarkStatisticalWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CheckStatistical(sys, p,
+				if _, err := core.CheckStatisticalCells(nil, nil, core.NewSystemCells(sys), p,
 					core.StatOptions{Seed: 1, Samples: 400, Steps: 256, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package relive
 
 import (
+	"context"
 	"io"
 	"runtime"
 	"time"
@@ -37,8 +38,18 @@ func ReadTraceJSON(r io.Reader) (TraceDump, error) { return obs.ReadJSON(r) }
 
 // Checker runs the decision procedures with options attached — a
 // Recorder, a parallelism degree, and the statistical engine's
-// settings; the zero value (or With() with no options) behaves exactly
-// like the package-level functions.
+// settings. Its methods are the library's one entry point per check; a
+// bare With() is the default Checker (no recorder, serial, exact).
+//
+// Every method that takes a context polls it cooperatively inside the
+// expensive loops (trim fixpoint, Büchi products, subset-construction
+// inclusion, emptiness search, sampling), so a deadline or cancellation
+// stops the PSPACE work promptly. A cancelled check returns an error
+// wrapping context.Canceled or context.DeadlineExceeded; test with
+// errors.Is. Context errors are never conflated with verdict errors: a
+// completed check with a negative verdict returns (result, nil), and a
+// genuine verdict error is returned even when a concurrent sibling was
+// torn down by the cancellation. A nil context never cancels.
 type Checker struct {
 	rec Recorder
 	par int
@@ -63,13 +74,14 @@ func WithRecorder(rec Recorder) Option {
 }
 
 // WithParallelism makes the Checker run its decision procedures on up
-// to n goroutines: CheckAll/CheckAllProperty run the three Section 4
-// verdicts concurrently over one single-flight artifact pipeline, and
-// the portfolio entry points use n as their worker-pool size. n <= 0
-// means runtime.GOMAXPROCS(0). Verdicts and witnesses are identical to
-// the serial path — every artifact is deterministic and built exactly
-// once regardless of goroutine arrival order; see docs/PERFORMANCE.md
-// ("Parallelism"). Without this option checks stay serial.
+// to n goroutines: CheckAll runs the three Section 4 verdicts
+// concurrently over one single-flight artifact pipeline, the portfolio
+// checks use n as their worker-pool size, and CheckStatistical bounds
+// its sampling workers by n. n <= 0 means runtime.GOMAXPROCS(0).
+// Verdicts and witnesses are identical to the serial path — every
+// artifact is deterministic and built exactly once regardless of
+// goroutine arrival order; see docs/PERFORMANCE.md ("Parallelism").
+// Without this option checks stay serial.
 func WithParallelism(n int) Option {
 	return func(c *Checker) {
 		if n <= 0 {
@@ -79,12 +91,11 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// With returns a Checker carrying the given options. Existing
-// package-level entry points are unchanged; this is the additive way to
-// attach observability:
+// With returns a Checker carrying the given options:
 //
 //	tr := relive.NewTrace()
-//	res, err := relive.With(relive.WithRecorder(tr)).CheckRelativeLiveness(sys, f)
+//	p := relive.PropertyFromLTL(f, nil)
+//	res, err := relive.With(relive.WithRecorder(tr)).CheckRelativeLiveness(ctx, sys, p)
 //	tr.WriteTree(os.Stderr)
 func With(opts ...Option) *Checker {
 	c := &Checker{}
@@ -100,49 +111,37 @@ func (c *Checker) Recorder() Recorder { return c.rec }
 // Parallelism returns the configured parallelism degree (0 = serial).
 func (c *Checker) Parallelism() int { return c.par }
 
-// CheckRelativeLiveness is the package-level CheckRelativeLiveness with
-// the Checker's options applied.
-func (c *Checker) CheckRelativeLiveness(sys *System, f *Formula) (LivenessResult, error) {
-	return c.CheckRelativeLivenessProperty(sys, core.FromFormula(f, nil))
+// CheckRelativeLiveness decides whether p is a relative liveness
+// property of sys (Definition 4.1, via Lemma 4.3). Wrap a formula with
+// PropertyFromLTL(f, nil) to check it under the canonical labeling.
+func (c *Checker) CheckRelativeLiveness(ctx context.Context, sys *System, p Property) (LivenessResult, error) {
+	return core.RelativeLivenessCellsCtx(ctx, c.rec, core.NewPipelineCells(sys, p))
 }
 
-// CheckRelativeLivenessProperty is CheckRelativeLiveness for a Property.
-func (c *Checker) CheckRelativeLivenessProperty(sys *System, p Property) (LivenessResult, error) {
-	return core.RelativeLivenessRec(c.rec, sys, p)
+// CheckRelativeSafety decides whether p is a relative safety property
+// of sys (Definition 4.2, via Lemma 4.4).
+func (c *Checker) CheckRelativeSafety(ctx context.Context, sys *System, p Property) (SafetyResult, error) {
+	return core.RelativeSafetyCellsCtx(ctx, c.rec, core.NewPipelineCells(sys, p))
 }
 
-// CheckRelativeSafety is the package-level CheckRelativeSafety with the
-// Checker's options applied.
-func (c *Checker) CheckRelativeSafety(sys *System, f *Formula) (SafetyResult, error) {
-	return c.CheckRelativeSafetyProperty(sys, core.FromFormula(f, nil))
+// CheckSatisfies decides plain satisfaction L_ω ⊆ P. By Theorem 4.7 it
+// agrees with the conjunction of the two relative checks.
+func (c *Checker) CheckSatisfies(ctx context.Context, sys *System, p Property) (SatisfactionResult, error) {
+	return core.SatisfiesCellsCtx(ctx, c.rec, core.NewPipelineCells(sys, p))
 }
 
-// CheckRelativeSafetyProperty is CheckRelativeSafety for a Property.
-func (c *Checker) CheckRelativeSafetyProperty(sys *System, p Property) (SafetyResult, error) {
-	return core.RelativeSafetyRec(c.rec, sys, p)
-}
-
-// CheckSatisfies is the package-level CheckSatisfies with the Checker's
-// options applied.
-func (c *Checker) CheckSatisfies(sys *System, f *Formula) (SatisfactionResult, error) {
-	return c.CheckSatisfiesProperty(sys, core.FromFormula(f, nil))
-}
-
-// CheckSatisfiesProperty is CheckSatisfies for a Property.
-func (c *Checker) CheckSatisfiesProperty(sys *System, p Property) (SatisfactionResult, error) {
-	return core.SatisfiesRec(c.rec, sys, p)
-}
-
-// CheckAll is the package-level CheckAll with the Checker's options
-// applied. Under WithParallelism the three verdicts run concurrently;
-// the report is identical to the serial one.
-func (c *Checker) CheckAll(sys *System, f *Formula) (*Report, error) {
-	return c.CheckAllProperty(sys, core.FromFormula(f, nil))
-}
-
-// CheckAllProperty is CheckAll for a Property.
-func (c *Checker) CheckAllProperty(sys *System, p Property) (*Report, error) {
-	return core.CheckAllParRec(c.rec, sys, p, c.par)
+// CheckAll runs all three checks of Section 4 over one shared artifact
+// pipeline and cross-validates Theorem 4.7. Under WithParallelism the
+// three verdicts run concurrently; the report is identical to the
+// serial one. Under WithStatisticalFallback a system over the state
+// budget — or an exact run over the time budget — is answered by the
+// sampling engine instead (the report's Statistical field marks such
+// answers).
+func (c *Checker) CheckAll(ctx context.Context, sys *System, p Property) (*Report, error) {
+	if c.fbSet {
+		return c.checkAllWithFallback(ctx, sys, p)
+	}
+	return core.CheckAllCellsCtx(ctx, c.rec, core.NewPipelineCells(sys, p), c.par)
 }
 
 // CheckPropertyPortfolio runs CheckAll for every property against sys
@@ -150,22 +149,23 @@ func (c *Checker) CheckAllProperty(sys *System, p Property) (*Report, error) {
 // WithParallelism). All properties share the trimmed system and its
 // behavior automaton, built once by whichever worker needs them first;
 // reports come back in props order with verdicts and witnesses
-// identical to checking each property serially.
-func (c *Checker) CheckPropertyPortfolio(sys *System, props []Property) ([]*Report, error) {
-	return core.CheckPortfolioRec(c.rec, sys, props, c.portfolioWorkers())
+// identical to checking each property serially. Running checks poll
+// ctx and not-yet-started jobs are abandoned once it expires.
+func (c *Checker) CheckPropertyPortfolio(ctx context.Context, sys *System, props []Property) ([]*Report, error) {
+	return core.CheckPortfolioCtx(ctx, c.rec, sys, props, c.portfolioWorkers())
 }
 
 // CheckSystemsPortfolio runs CheckAll for one property against every
 // system on a worker pool of the Checker's parallelism degree. Systems
 // sharing an alphabet share the property automaton and its negation.
 // Reports come back in systems order, identical to the serial results.
-func (c *Checker) CheckSystemsPortfolio(systems []*System, p Property) ([]*Report, error) {
-	return core.CheckSystemsPortfolioRec(c.rec, systems, p, c.portfolioWorkers())
+func (c *Checker) CheckSystemsPortfolio(ctx context.Context, systems []*System, p Property) ([]*Report, error) {
+	return core.CheckSystemsPortfolioCtx(ctx, c.rec, systems, p, c.portfolioWorkers())
 }
 
 // portfolioWorkers maps the option to the pool size: without
 // WithParallelism the portfolio runs serially (core treats <= 1 as a
-// plain loop); core.CheckPortfolioRec treats 0 as one-per-job, which is
+// plain loop); core.CheckPortfolioCtx treats 0 as one-per-job, which is
 // not what an unconfigured Checker should do.
 func (c *Checker) portfolioWorkers() int {
 	if c.par <= 0 {
@@ -174,27 +174,32 @@ func (c *Checker) portfolioWorkers() int {
 	return c.par
 }
 
-// MachineClosed is the package-level MachineClosed with the Checker's
-// options applied.
+// MachineClosed decides Definition 4.6 for two Büchi automata.
 func (c *Checker) MachineClosed(lomega, lambda *Buchi) (MachineClosureResult, error) {
-	return core.MachineClosedRec(c.rec, lomega, lambda)
+	return core.MachineClosed(c.rec, lomega, lambda)
 }
 
-// SynthesizeFairImplementation is the package-level
-// SynthesizeFairImplementation with the Checker's options applied.
+// SynthesizeFairImplementation runs the Theorem 5.1 construction: a
+// system with the same behaviors whose strongly fair runs all satisfy
+// the relative liveness property f (under the canonical labeling).
 func (c *Checker) SynthesizeFairImplementation(sys *System, f *Formula) (*FairImplementation, error) {
-	return core.SynthesizeFairImplementationRec(c.rec, sys, core.FromFormula(f, nil))
+	return core.SynthesizeFairImplementation(c.rec, sys, core.FromFormula(f, nil))
 }
 
-// VerifyViaAbstraction is the package-level VerifyViaAbstraction with
-// the Checker's options applied.
-func (c *Checker) VerifyViaAbstraction(sys *System, h *Hom, eta *Formula) (*AbstractionReport, error) {
-	return core.VerifyViaAbstractionCtx(nil, c.rec, sys, h, eta)
+// VerifyViaAbstraction runs the paper's abstraction method end to end:
+// abstract sys under h, check that eta (in Σ'-normal form over h's
+// destination alphabet) is a relative liveness property of the abstract
+// behaviors, decide simplicity of h, and conclude per Corollary 8.4.
+func (c *Checker) VerifyViaAbstraction(ctx context.Context, sys *System, h *Hom, eta *Formula) (*AbstractionReport, error) {
+	return core.VerifyViaAbstractionCtx(ctx, c.rec, sys, h, eta)
 }
 
-// CheckFairAbstract is the package-level CheckFairAbstract with the
-// Checker's options applied.
-func (c *Checker) CheckFairAbstract(sys *System, h *Hom, kind FairnessKind, eta *Formula) (*FairAbstractReport, error) {
+// CheckFairAbstract decides whether all kind-fair runs of sys satisfy
+// eta through h — the fairness-within-abstraction verdict combining
+// the Theorem 5.1 fair-emptiness machinery with the Sections 6–8
+// abstraction constructions. eta must be in Σ'-normal form over h's
+// destination alphabet.
+func (c *Checker) CheckFairAbstract(ctx context.Context, sys *System, h *Hom, kind FairnessKind, eta *Formula) (*FairAbstractReport, error) {
 	p := core.FromFormula(eta, ltl.Canonical(h.Dest()))
-	return core.CheckFairAbstractRec(c.rec, sys, h, kind, p)
+	return core.CheckFairAbstractCells(ctx, c.rec, core.NewSystemCells(sys), h, kind, p)
 }

@@ -31,7 +31,7 @@ func BenchmarkCheckAllSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckAll(sys, p); err != nil {
+		if _, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, p), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func BenchmarkCheckAllParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckAllPar(sys, p, 3); err != nil {
+		if _, err := core.CheckAllCellsCtx(nil, nil, core.NewPipelineCells(sys, p), 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkPortfolioSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckPortfolio(sys, props, 1); err != nil {
+		if _, err := core.CheckPortfolioCtx(nil, nil, sys, props, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkPortfolioParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CheckPortfolio(sys, props, 4); err != nil {
+		if _, err := core.CheckPortfolioCtx(nil, nil, sys, props, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,7 +73,7 @@ type (
 	// FairnessKind selects a fairness notion for the fair checks.
 	FairnessKind = fairness.Kind
 	// FairAbstractReport is the outcome of a fairness-within-abstraction
-	// check (CheckFairAbstract).
+	// check (Checker.CheckFairAbstract).
 	FairAbstractReport = core.FairAbstractReport
 )
 
@@ -151,41 +151,6 @@ func PropertyFromLTL(f *Formula, lab *Labeling) Property { return core.FromFormu
 // PropertyFromBuchi wraps a Büchi automaton as a Property.
 func PropertyFromBuchi(b *Buchi) Property { return core.FromAutomaton(b) }
 
-// CheckRelativeLiveness decides whether f (under the canonical
-// labeling) is a relative liveness property of sys (Definition 4.1,
-// via Lemma 4.3).
-func CheckRelativeLiveness(sys *System, f *Formula) (LivenessResult, error) {
-	return core.RelativeLiveness(sys, core.FromFormula(f, nil))
-}
-
-// CheckRelativeLivenessProperty is CheckRelativeLiveness for a general
-// Property.
-func CheckRelativeLivenessProperty(sys *System, p Property) (LivenessResult, error) {
-	return core.RelativeLiveness(sys, p)
-}
-
-// CheckRelativeSafety decides whether f is a relative safety property
-// of sys (Definition 4.2, via Lemma 4.4).
-func CheckRelativeSafety(sys *System, f *Formula) (SafetyResult, error) {
-	return core.RelativeSafety(sys, core.FromFormula(f, nil))
-}
-
-// CheckRelativeSafetyProperty is CheckRelativeSafety for a Property.
-func CheckRelativeSafetyProperty(sys *System, p Property) (SafetyResult, error) {
-	return core.RelativeSafety(sys, p)
-}
-
-// CheckSatisfies decides plain satisfaction L_ω ⊆ P. By Theorem 4.7 it
-// agrees with the conjunction of the two relative checks.
-func CheckSatisfies(sys *System, f *Formula) (SatisfactionResult, error) {
-	return core.Satisfies(sys, core.FromFormula(f, nil))
-}
-
-// CheckSatisfiesProperty is CheckSatisfies for a Property.
-func CheckSatisfiesProperty(sys *System, p Property) (SatisfactionResult, error) {
-	return core.Satisfies(sys, p)
-}
-
 // CheckRelativeLivenessOmega decides relative liveness for an arbitrary
 // ω-regular language given as a Büchi automaton — Definition 4.1 in the
 // paper's full generality (system behaviors are the limit-closed special
@@ -206,18 +171,6 @@ func IsLimitClosed(lomega *Buchi) (bool, Lasso, error) {
 	return core.IsLimitClosed(lomega)
 }
 
-// MachineClosed decides Definition 4.6 for two Büchi automata.
-func MachineClosed(lomega, lambda *Buchi) (MachineClosureResult, error) {
-	return core.MachineClosed(lomega, lambda)
-}
-
-// SynthesizeFairImplementation runs the Theorem 5.1 construction: a
-// system with the same behaviors whose strongly fair runs all satisfy
-// the relative liveness property f.
-func SynthesizeFairImplementation(sys *System, f *Formula) (*FairImplementation, error) {
-	return core.SynthesizeFairImplementation(sys, core.FromFormula(f, nil))
-}
-
 // AllStronglyFairRunsSatisfy checks whether every strongly fair run of
 // sys satisfies f, returning a violating fair run otherwise.
 func AllStronglyFairRunsSatisfy(sys *System, f *Formula) (bool, *Run, error) {
@@ -230,25 +183,8 @@ func AllFairRunsSatisfy(sys *System, f *Formula, kind FairnessKind) (bool, *Run,
 	return core.AllFairRunsSatisfy(sys, core.FromFormula(f, nil), kind)
 }
 
-// CheckFairAbstract decides whether all kind-fair runs of sys satisfy
-// eta through h — the fairness-within-abstraction verdict combining
-// the Theorem 5.1 fair-emptiness machinery with the Sections 6–8
-// abstraction constructions. eta must be in Σ'-normal form over h's
-// destination alphabet.
-func CheckFairAbstract(sys *System, h *Hom, kind FairnessKind, eta *Formula) (*FairAbstractReport, error) {
-	return core.CheckFairAbstract(sys, h, kind, core.FromFormula(eta, ltl.Canonical(h.Dest())))
-}
-
 // ParseFairnessKind parses "strong" or "weak".
 func ParseFairnessKind(s string) (FairnessKind, error) { return core.ParseFairnessKind(s) }
-
-// VerifyViaAbstraction runs the paper's abstraction method end to end:
-// abstract sys under h, check that eta (in Σ'-normal form over h's
-// destination alphabet) is a relative liveness property of the abstract
-// behaviors, decide simplicity of h, and conclude per Corollary 8.4.
-func VerifyViaAbstraction(sys *System, h *Hom, eta *Formula) (*AbstractionReport, error) {
-	return core.VerifyViaAbstraction(sys, h, eta)
-}
 
 // Rbar transforms an abstract property η into R̄(η) for interpretation
 // on the concrete system (Definition 7.4 / Figure 5).
@@ -294,17 +230,6 @@ func NewRandomWalker(sys *System, seed int64) (*fairness.RandomWalker, error) {
 // Report bundles the satisfaction, relative-liveness and
 // relative-safety verdicts; it marshals to JSON.
 type Report = core.Report
-
-// CheckAll runs all three checks of Section 4 and cross-validates
-// Theorem 4.7.
-func CheckAll(sys *System, f *Formula) (*Report, error) {
-	return core.CheckAll(sys, core.FromFormula(f, nil))
-}
-
-// CheckAllProperty is CheckAll for a general Property.
-func CheckAllProperty(sys *System, p Property) (*Report, error) {
-	return core.CheckAll(sys, p)
-}
 
 // ReduceSystem returns the strong-bisimulation quotient of the system:
 // fewer states, identical behaviors, identical verdicts.

@@ -1,6 +1,7 @@
 package relive_test
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestCheckAllReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := relive.CheckAll(sys, relive.MustParseLTL("G F result"))
+	report, err := relive.With().CheckAll(context.Background(), sys, relive.PropertyFromLTL(relive.MustParseLTL("G F result"), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,12 @@ r result s0
 	}
 	// Verdicts unchanged.
 	for _, f := range []string{"G F result", "G F request"} {
-		r1, err := relive.CheckRelativeLiveness(sys, relive.MustParseLTL(f))
+		p := relive.PropertyFromLTL(relive.MustParseLTL(f), nil)
+		r1, err := relive.With().CheckRelativeLiveness(context.Background(), sys, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := relive.CheckRelativeLiveness(small, relive.MustParseLTL(f))
+		r2, err := relive.With().CheckRelativeLiveness(context.Background(), small, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package relive_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,23 +21,24 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop := relive.MustParseLTL("G F result")
+	prop := relive.PropertyFromLTL(relive.MustParseLTL("G F result"), nil)
+	ctx := context.Background()
 
-	sat, err := relive.CheckSatisfies(sys, prop)
+	sat, err := relive.With().CheckSatisfies(ctx, sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sat.Holds {
 		t.Error("□◇result satisfied without fairness?")
 	}
-	rl, err := relive.CheckRelativeLiveness(sys, prop)
+	rl, err := relive.With().CheckRelativeLiveness(ctx, sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rl.Holds {
 		t.Error("□◇result not a relative liveness property of the server")
 	}
-	rs, err := relive.CheckRelativeSafety(sys, prop)
+	rs, err := relive.With().CheckRelativeSafety(ctx, sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ denied reject idle
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := relive.VerifyViaAbstraction(sys, h, relive.MustParseLTL("G F result"))
+	report, err := relive.With().VerifyViaAbstraction(context.Background(), sys, h, relive.MustParseLTL("G F result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ denied reject idle
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := relive.CheckRelativeLivenessProperty(sys, p)
+	rl, err := relive.With().CheckRelativeLiveness(context.Background(), sys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ q b q
 	if bad == nil {
 		t.Fatal("no violating run")
 	}
-	fi, err := relive.SynthesizeFairImplementation(sys, prop)
+	fi, err := relive.With().SynthesizeFairImplementation(sys, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestPetriFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := relive.CheckRelativeLiveness(sys, relive.MustParseLTL("G F go"))
+	rl, err := relive.With().CheckRelativeLiveness(context.Background(), sys, relive.PropertyFromLTL(relive.MustParseLTL("G F go"), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func WithConfidence(level float64) Option {
 	return func(c *Checker) { c.statConf = level }
 }
 
-// WithStatisticalFallback makes the Checker's CheckAllCtx fall back to
+// WithStatisticalFallback makes the Checker's CheckAll fall back to
 // the statistical engine instead of failing or stalling on systems too
 // big to check exactly: systems with more than maxStates states are
 // sampled directly, and when maxExact > 0 the exact check runs under
@@ -88,37 +88,17 @@ func (c *Checker) statOptions() core.StatOptions {
 	}
 }
 
-// CheckStatistical is the package-level statistical check with the
-// default budget (400 walks of 256 steps, confidence 0.99, seed 0).
-func CheckStatistical(sys *System, f *Formula) (*StatisticalReport, error) {
-	return With().CheckStatistical(sys, f)
-}
-
 // CheckStatistical runs the statistical engine with the Checker's
 // options (WithSeed, WithSampleBudget, WithConfidence; WithParallelism
-// bounds the sampling workers without changing the report).
-func (c *Checker) CheckStatistical(sys *System, f *Formula) (*StatisticalReport, error) {
-	return c.CheckStatisticalProperty(sys, core.FromFormula(f, nil))
+// bounds the sampling workers without changing the report). With no
+// options the budget is 400 walks of 256 steps at confidence 0.99,
+// seed 0.
+func (c *Checker) CheckStatistical(ctx context.Context, sys *System, p Property) (*StatisticalReport, error) {
+	return core.CheckStatisticalCells(ctx, c.rec, core.NewSystemCells(sys), p, c.statOptions())
 }
 
-// CheckStatisticalProperty is CheckStatistical for a Property.
-func (c *Checker) CheckStatisticalProperty(sys *System, p Property) (*StatisticalReport, error) {
-	return core.CheckStatisticalRec(c.rec, sys, p, c.statOptions())
-}
-
-// CheckStatisticalCtx is CheckStatistical with cooperative
-// cancellation.
-func (c *Checker) CheckStatisticalCtx(ctx context.Context, sys *System, f *Formula) (*StatisticalReport, error) {
-	return c.CheckStatisticalPropertyCtx(ctx, sys, core.FromFormula(f, nil))
-}
-
-// CheckStatisticalPropertyCtx is CheckStatisticalCtx for a Property.
-func (c *Checker) CheckStatisticalPropertyCtx(ctx context.Context, sys *System, p Property) (*StatisticalReport, error) {
-	return core.CheckStatisticalCtx(ctx, c.rec, sys, p, c.statOptions())
-}
-
-// checkAllWithFallback is CheckAllPropertyCtx under
-// WithStatisticalFallback: exact when affordable, sampled otherwise.
+// checkAllWithFallback is CheckAll under WithStatisticalFallback: exact
+// when affordable, sampled otherwise.
 func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Property) (*Report, error) {
 	if c.fbStates > 0 && sys.NumStates() > c.fbStates {
 		return c.statFallbackReport(ctx, sys, p)
@@ -132,7 +112,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 		exactCtx, cancel = context.WithTimeout(exactCtx, c.fbTimeout)
 		defer cancel()
 	}
-	rep, err := core.CheckAllCtx(exactCtx, c.rec, sys, p, c.par)
+	rep, err := core.CheckAllCellsCtx(exactCtx, c.rec, core.NewPipelineCells(sys, p), c.par)
 	if err == nil {
 		return rep, nil
 	}
@@ -150,7 +130,7 @@ func (c *Checker) checkAllWithFallback(ctx context.Context, sys *System, p Prope
 // carry the sampled answer and the Statistical field holds the full
 // sampled evidence, so the report can never be mistaken for exact.
 func (c *Checker) statFallbackReport(ctx context.Context, sys *System, p Property) (*Report, error) {
-	sr, err := core.CheckStatisticalCtx(ctx, c.rec, sys, p, c.statOptions())
+	sr, err := c.CheckStatistical(ctx, sys, p)
 	if err != nil {
 		return nil, err
 	}
